@@ -20,7 +20,7 @@
 //! time is simulated: latencies and backoffs accumulate on a virtual
 //! clock, so experiments are fast and deterministic.
 
-use crate::curve::{mean_turnaround, CurveConfig, RcFamily};
+use crate::curve::{mean_turnaround, CurveConfig, CurveEvaluator, RcFamily};
 use crate::specgen::ResourceSpec;
 use rsg_dag::Dag;
 use rsg_obs::{Counter, TimingHistogram};
@@ -65,33 +65,40 @@ pub fn tier_size_threshold(
     cfg: &CurveConfig,
 ) -> Option<f64> {
     assert!(clock_lo_mhz < clock_hi_mhz);
-    let hi_cfg = CurveConfig {
+    let at_clock = |clock_mhz: f64| CurveConfig {
         rc_family: RcFamily {
-            clock_mhz: clock_hi_mhz,
+            clock_mhz,
             ..cfg.rc_family
         },
         ..*cfg
     };
-    let target = mean_turnaround(dags, size_hi, &hi_cfg);
-    let width = dags.iter().map(|d| d.width() as usize).max().unwrap_or(1);
-    let lo_cfg = CurveConfig {
-        rc_family: RcFamily {
-            clock_mhz: clock_lo_mhz,
-            ..cfg.rc_family
-        },
-        ..*cfg
-    };
-    // Walk sizes upward from size_hi until the slow tier matches (2%
-    // slack) or the width is exhausted.
+    let width = max_width(dags);
+    let target = mean_turnaround(dags, size_hi, &at_clock(clock_hi_mhz));
+    let mut lo = CurveEvaluator::new(dags, &at_clock(clock_lo_mhz), width);
+    size_ratio_matching(target, size_hi, width, |s| lo.mean_turnaround(s))
+}
+
+/// Walks sizes upward from `size_hi` until `turnaround` matches
+/// `target` (2% slack) or `width` is exhausted; returns the matching
+/// size relative to `size_hi`.
+fn size_ratio_matching(
+    target: f64,
+    size_hi: usize,
+    width: usize,
+    mut turnaround: impl FnMut(usize) -> f64,
+) -> Option<f64> {
     let mut s = size_hi.max(1);
     while s <= width {
-        let t = mean_turnaround(dags, s, &lo_cfg);
-        if t <= target * 1.02 {
+        if turnaround(s) <= target * 1.02 {
             return Some(s as f64 / size_hi.max(1) as f64);
         }
         s = ((s as f64) * 1.25).ceil() as usize;
     }
     None
+}
+
+fn max_width(dags: &[Dag]) -> usize {
+    dags.iter().map(|d| d.width() as usize).max().unwrap_or(1)
 }
 
 /// Builds the ordered alternative ladder for a spec.
@@ -105,20 +112,28 @@ pub fn alternatives(
     cfg: &CurveConfig,
 ) -> Vec<Alternative> {
     let mut out = Vec::new();
-    let eval = |size: usize, clock: f64, het: f64| -> f64 {
-        let fam = RcFamily {
+    let width = max_width(dags);
+    // One memoizing evaluator per RC family (clock, heterogeneity): the
+    // original size is also every tier search's target, and a tier's
+    // chosen size was already scheduled by its search. Each is
+    // scheduled once, with the numbers of `mean_turnaround`.
+    let capacity = width.max(original.rc_size as usize);
+    let mut families: Vec<CurveEvaluator<'_>> = Vec::new();
+    let mut eval = |size: usize, clock: f64, het: f64| -> f64 {
+        let rc_family = RcFamily {
             clock_mhz: clock,
             heterogeneity: het,
             ..cfg.rc_family
         };
-        mean_turnaround(
-            dags,
-            size.max(1),
-            &CurveConfig {
-                rc_family: fam,
-                ..*cfg
-            },
-        )
+        let i = match families.iter().position(|e| e.cfg().rc_family == rc_family) {
+            Some(i) => i,
+            None => {
+                let family_cfg = CurveConfig { rc_family, ..*cfg };
+                families.push(CurveEvaluator::new(dags, &family_cfg, capacity));
+                families.len() - 1
+            }
+        };
+        families[i].mean_turnaround(size.max(1))
     };
 
     // 0. The original.
@@ -131,7 +146,6 @@ pub fn alternatives(
     // 1. Slower clock tiers with compensating size. Tiers are deduped
     // and ordered descending so repeated inputs cannot produce
     // duplicate rungs.
-    let width = dags.iter().map(|d| d.width() as usize).max().unwrap_or(1);
     let mut tiers: Vec<f64> = clock_tiers
         .iter()
         .copied()
@@ -139,15 +153,14 @@ pub fn alternatives(
         .collect();
     tiers.sort_by(|a, b| b.total_cmp(a));
     tiers.dedup();
+    let size_hi = original.rc_size as usize;
+    let search_het = cfg.rc_family.heterogeneity;
     for tier in tiers {
-        let ratio = tier_size_threshold(
-            dags,
-            original.rc_size as usize,
-            original.clock_mhz.1,
-            tier,
-            cfg,
-        )
-        .unwrap_or(original.clock_mhz.1 / tier);
+        // tier_size_threshold, with its evaluations served by the
+        // shared evaluators.
+        let target = eval(size_hi, original.clock_mhz.1, search_het);
+        let ratio = size_ratio_matching(target, size_hi, width, |s| eval(s, tier, search_het))
+            .unwrap_or(original.clock_mhz.1 / tier);
         let new_size = (((original.rc_size as f64) * ratio).round() as usize).clamp(1, width);
         let mut spec = original.clone();
         spec.clock_mhz = (tier * (1.0 - het_of(original)), tier);
@@ -588,6 +601,60 @@ mod tests {
         // many hosts (Figure VII-7 reports ratios above 1).
         if let Some(r) = tier_size_threshold(&ds, 10, 3500.0, 3000.0, &cfg) {
             assert!(r >= 1.0, "ratio {r}");
+        }
+    }
+
+    #[test]
+    fn rung_predictions_equal_fresh_mean_turnaround() {
+        let ds = vec![
+            rsg_dag::workflows::fork_join(4, 40, 10.0, 0.05),
+            rsg_dag::workflows::fork_join(3, 25, 6.0, 0.2),
+        ];
+        for cfg in [
+            CurveConfig::default(),
+            CurveConfig {
+                rc_family: RcFamily {
+                    heterogeneity: 0.2,
+                    seed: 3,
+                    ..RcFamily::homogeneous(3500.0)
+                },
+                ..CurveConfig::default()
+            },
+        ] {
+            let original = spec(10, 3500.0);
+            let alts = alternatives(&original, &ds, &[3000.0, 2500.0, 2000.0], &cfg);
+            assert!(alts.len() >= 5, "{alts:?}");
+            for alt in &alts {
+                // The heterogeneity each rung is predicted under.
+                let het = match alt.degradation {
+                    Degradation::WiderHeterogeneity => (het_of(&original) + 0.3).min(0.6),
+                    _ => 0.0,
+                };
+                let rung_cfg = CurveConfig {
+                    rc_family: RcFamily {
+                        clock_mhz: alt.spec.clock_mhz.1,
+                        heterogeneity: het,
+                        ..cfg.rc_family
+                    },
+                    ..cfg
+                };
+                let fresh = mean_turnaround(&ds, alt.spec.rc_size as usize, &rung_cfg);
+                assert_eq!(
+                    alt.predicted_turnaround_s.to_bits(),
+                    fresh.to_bits(),
+                    "{:?} at {} hosts",
+                    alt.degradation,
+                    alt.spec.rc_size
+                );
+                // A slower tier's size is the public tier search's.
+                if alt.degradation == Degradation::SlowerClock {
+                    let ratio = tier_size_threshold(&ds, 10, 3500.0, alt.spec.clock_mhz.1, &cfg)
+                        .unwrap_or(3500.0 / alt.spec.clock_mhz.1);
+                    let width = max_width(&ds);
+                    let size = ((10.0 * ratio).round() as usize).clamp(1, width);
+                    assert_eq!(alt.spec.rc_size as usize, size);
+                }
+            }
         }
     }
 

@@ -89,6 +89,35 @@ impl CriticalPathInfo {
     }
 }
 
+/// MCP's task priority order (Figure IV-2): task ids sorted by the key
+/// `(ALAP, level, min-child-ALAP, id)`.
+///
+/// Ordering by the ascending lists of ALAP values of each node and its
+/// descendants reduces to this key: a node's own ALAP is the minimum of
+/// its list and the minimum descendant ALAP the second element, so the
+/// O(V²) descendant lists never need materializing. The `level`
+/// component keeps the order topological when zero-weight ties occur.
+pub fn mcp_priority_order(dag: &Dag, info: &CriticalPathInfo) -> Vec<u32> {
+    let min_child_alap: Vec<f64> = dag
+        .tasks()
+        .map(|t| {
+            dag.children(t)
+                .iter()
+                .fold(f64::INFINITY, |m, e| m.min(info.alap(e.task)))
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..dag.len() as u32).collect();
+    order.sort_by(|&a, &b| {
+        let (ta, tb) = (TaskId(a), TaskId(b));
+        info.alap(ta)
+            .total_cmp(&info.alap(tb))
+            .then(dag.level(ta).cmp(&dag.level(tb)))
+            .then(min_child_alap[a as usize].total_cmp(&min_child_alap[b as usize]))
+            .then(a.cmp(&b))
+    });
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,5 +198,44 @@ mod tests {
         let crit = info.critical_tasks(&d);
         assert!(crit.contains(&b));
         assert!(!crit.contains(&c));
+    }
+
+    #[test]
+    fn cached_critical_path_matches_compute() {
+        let d = crate::RandomDagSpec {
+            size: 150,
+            ccr: 1.0,
+            parallelism: 0.6,
+            density: 0.5,
+            regularity: 0.5,
+            mean_comp: 10.0,
+        }
+        .generate(3);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fresh = CriticalPathInfo::compute(&d);
+        let cached = d.critical_path();
+        assert_eq!(bits(&cached.bottom_level), bits(&fresh.bottom_level));
+        assert_eq!(bits(&cached.top_level), bits(&fresh.top_level));
+        assert_eq!(bits(&cached.static_level), bits(&fresh.static_level));
+        assert_eq!(cached.cp.to_bits(), fresh.cp.to_bits());
+        assert_eq!(d.mcp_order(), mcp_priority_order(&d, &fresh).as_slice());
+
+        // Filled once: later calls return the same storage.
+        assert!(std::ptr::eq(cached, d.critical_path()));
+        assert!(std::ptr::eq(d.mcp_order(), d.mcp_order()));
+
+        // A clone carries equal values.
+        let c = d.clone();
+        assert_eq!(
+            bits(&c.critical_path().bottom_level),
+            bits(&fresh.bottom_level)
+        );
+        assert_eq!(bits(&c.critical_path().top_level), bits(&fresh.top_level));
+        assert_eq!(
+            bits(&c.critical_path().static_level),
+            bits(&fresh.static_level)
+        );
+        assert_eq!(c.critical_path().cp.to_bits(), fresh.cp.to_bits());
+        assert_eq!(c.mcp_order(), d.mcp_order());
     }
 }

@@ -9,6 +9,9 @@
 //! O(1).
 
 use std::fmt;
+use std::sync::OnceLock;
+
+use crate::critical::{self, CriticalPathInfo};
 
 /// Identifier of a task inside one [`Dag`]. Dense, `0..n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -226,11 +229,18 @@ impl DagBuilder {
             level_sizes,
             name: self.name,
             ref_clock_mhz: self.ref_clock_mhz,
+            critical_path: OnceLock::new(),
+            mcp_order: OnceLock::new(),
         })
     }
 }
 
 /// An immutable weighted task graph (Section III.1.1).
+///
+/// Schedule-invariant per-DAG quantities ([`Dag::critical_path`],
+/// [`Dag::mcp_order`]) are computed on first use and cached. A `Dag` is
+/// never mutated after [`DagBuilder::build`], so the cache cannot go
+/// stale; `Clone` carries it along.
 #[derive(Debug, Clone)]
 pub struct Dag {
     comp: Vec<f64>,
@@ -241,6 +251,8 @@ pub struct Dag {
     level_sizes: Vec<u32>,
     name: String,
     ref_clock_mhz: f64,
+    critical_path: OnceLock<CriticalPathInfo>,
+    mcp_order: OnceLock<Vec<u32>>,
 }
 
 impl Dag {
@@ -352,6 +364,20 @@ impl Dag {
     /// Average number of tasks per level, `τ = n / h`.
     pub fn tasks_per_level(&self) -> f64 {
         self.len() as f64 / self.height() as f64
+    }
+
+    /// Critical-path quantities of this DAG, computed on first use and
+    /// cached (bit-identical to [`CriticalPathInfo::compute`]).
+    pub fn critical_path(&self) -> &CriticalPathInfo {
+        self.critical_path
+            .get_or_init(|| CriticalPathInfo::compute(self))
+    }
+
+    /// MCP's task priority order (see [`critical::mcp_priority_order`]),
+    /// computed on first use and cached.
+    pub fn mcp_order(&self) -> &[u32] {
+        self.mcp_order
+            .get_or_init(|| critical::mcp_priority_order(self, self.critical_path()))
     }
 }
 

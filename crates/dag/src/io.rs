@@ -128,19 +128,19 @@ pub fn read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
                 raw.tasks.push(comp);
             }
             Some("edge") => {
-                let mut field = |what: &str| -> Result<String, DagIoError> {
-                    parts
-                        .next()
-                        .map(str::to_string)
-                        .ok_or_else(|| err(lno, what))
-                };
-                let p: u32 = field("edge needs a parent id")?
+                let p: u32 = parts
+                    .next()
+                    .ok_or_else(|| err(lno, "edge needs a parent id"))?
                     .parse()
                     .map_err(|_| err(lno, "bad edge parent id"))?;
-                let c: u32 = field("edge needs a child id")?
+                let c: u32 = parts
+                    .next()
+                    .ok_or_else(|| err(lno, "edge needs a child id"))?
                     .parse()
                     .map_err(|_| err(lno, "bad edge child id"))?;
-                let w: f64 = field("edge needs a cost")?
+                let w: f64 = parts
+                    .next()
+                    .ok_or_else(|| err(lno, "edge needs a cost"))?
                     .parse()
                     .map_err(|_| err(lno, "bad edge cost"))?;
                 raw.edges.push((p, c, w));
@@ -364,6 +364,22 @@ mod tests {
         // Syntax errors still fail raw decoding.
         assert!(read_dag_raw("rsg-dag v1\ntask 0\nend\n").is_err());
         assert!(read_dag_raw("rsg-dag v1\ntask 0 5\n").is_err());
+    }
+
+    #[test]
+    fn raw_read_edge_errors_name_field_and_line() {
+        for (edge, msg) in [
+            ("edge", "edge needs a parent id"),
+            ("edge x 1 0.5", "bad edge parent id"),
+            ("edge 0", "edge needs a child id"),
+            ("edge 0 -1 0.5", "bad edge child id"),
+            ("edge 0 1", "edge needs a cost"),
+            ("edge 0 1 cheap", "bad edge cost"),
+        ] {
+            let text = format!("rsg-dag v1\ntask 0 5\ntask 1 6\n\n{edge}\nend\n");
+            let e = read_dag_raw(&text).unwrap_err();
+            assert_eq!((e.line, e.msg.as_str()), (5, msg), "{edge}");
+        }
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //! schedule co-locates the whole critical path.
 
 use crate::context::ExecutionContext;
-use rsg_dag::CriticalPathInfo;
 
 /// A true makespan lower bound for the context:
 /// `max(comp-only critical path at the fastest clock, total work /
 /// aggregate speed)`.
 pub fn makespan_lower_bound(ctx: &ExecutionContext<'_>) -> f64 {
-    let info = CriticalPathInfo::compute(ctx.dag);
+    let info = ctx.dag.critical_path();
     let fastest = (0..ctx.hosts()).map(|h| ctx.speed(h)).fold(0.0, f64::max);
     let cp_comp = ctx
         .dag
@@ -31,10 +30,9 @@ pub fn makespan_lower_bound(ctx: &ExecutionContext<'_>) -> f64 {
 /// weights, edges at the reference bandwidth) executed at the fastest
 /// clock.
 pub fn paper_lower_bound(ctx: &ExecutionContext<'_>) -> f64 {
-    let info = CriticalPathInfo::compute(ctx.dag);
     let fastest = (0..ctx.hosts()).map(|h| ctx.speed(h)).fold(0.0, f64::max);
-    // Edge weights are not divided by clock; only node weights scale.
-    // Using cp directly with comp scaled requires a dedicated sweep:
+    // Edge weights are not divided by clock; only node weights scale,
+    // so the clock-scaled bottom levels need a dedicated sweep:
     let dag = ctx.dag;
     let mut bl = vec![0.0f64; dag.len()];
     for &t in dag.topological_order().iter().rev() {
@@ -44,7 +42,6 @@ pub fn paper_lower_bound(ctx: &ExecutionContext<'_>) -> f64 {
         }
         bl[t.index()] = dag.comp(t) / fastest + m;
     }
-    let _ = info;
     dag.entries().map(|t| bl[t.index()]).fold(0.0f64, f64::max)
 }
 

@@ -27,7 +27,6 @@ use super::{Heuristic, HeuristicKind};
 use crate::context::ExecutionContext;
 use crate::schedule::Schedule;
 use crate::timemodel::OpCount;
-use rsg_dag::CriticalPathInfo;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -49,7 +48,9 @@ impl Heuristic for Fca {
         // Priority: bottom level descending (critical tasks first); the
         // level tie-break keeps the order topological under zero
         // weights.
-        let info = CriticalPathInfo::compute(dag);
+        // Bottom levels come from the DAG's cache; the sweeps are still
+        // charged.
+        let info = dag.critical_path();
         ops += 2 * (n as u64 + dag.edge_count() as u64);
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&a, &b| {

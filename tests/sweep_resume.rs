@@ -123,6 +123,9 @@ fn damaged_journal_tail_recomputes_only_the_tail() {
 
 #[test]
 fn corrupt_journal_is_quarantined_not_trusted() {
+    // measure_checkpointed bumps the global core.store.* counters that
+    // the resume test asserts on exactly.
+    let _guard = rsg::obs::test_guard();
     let grid = ObservationGrid::tiny();
     let cfg = CurveConfig::default();
     let thetas = [0.01];
@@ -143,6 +146,8 @@ fn corrupt_journal_is_quarantined_not_trusted() {
 
 #[test]
 fn journal_verify_reports_cells() {
+    // See corrupt_journal_is_quarantined_not_trusted.
+    let _guard = rsg::obs::test_guard();
     let grid = ObservationGrid::tiny();
     let cfg = CurveConfig::default();
     let thetas = [0.001, 0.05];

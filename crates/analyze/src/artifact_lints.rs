@@ -132,15 +132,16 @@ fn classify_text(text: &str, in_specs: bool) -> Option<(ArtifactKind, String)> {
         });
     }
     let head = text.trim_start();
+    let magic = head.split_once('\t').map(|(m, _)| m);
     let kind = if head.starts_with("rsg-size-model\t") {
         ArtifactKind::SizeModel
     } else if head.starts_with("rsg-heur-model\t") {
         ArtifactKind::HeurModel
     } else if head.starts_with("rsg-knee-table\t") {
         ArtifactKind::KneeTables
-    } else if head.starts_with("rsg-sweep-journal\t") {
+    } else if magic == Some(store::SweepJournal::MAGIC) {
         ArtifactKind::SweepJournal
-    } else if head.starts_with("rsg-delta-journal\t") {
+    } else if magic == Some(store::DeltaJournal::MAGIC) {
         ArtifactKind::DeltaJournal
     } else if head.starts_with("rsg-platform\t") {
         ArtifactKind::PlatformFile

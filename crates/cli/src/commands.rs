@@ -670,7 +670,8 @@ fn shard_siblings(path: &str) -> Vec<String> {
 fn verify_artifact(path: &str) -> Result<String, rsg_core::StoreError> {
     let p = std::path::Path::new(path);
     let text = std::fs::read_to_string(p).map_err(|e| rsg_core::StoreError::io(p, "read", &e))?;
-    if text.starts_with("rsg-sweep-journal\t") {
+    let magic = text.split_once('\t').map(|(m, _)| m);
+    if magic == Some(rsg_core::SweepJournal::MAGIC) {
         let (fp, thetas, good, bad) = rsg_core::SweepJournal::verify(p)?;
         if bad > 0 {
             return Err(rsg_core::StoreError::parse(
@@ -683,7 +684,7 @@ fn verify_artifact(path: &str) -> Result<String, rsg_core::StoreError> {
             "sweep journal, fingerprint {fp:016x}, {good} cells x {thetas} thetas"
         ));
     }
-    if text.starts_with("rsg-delta-journal\t") {
+    if magic == Some(rsg_core::DeltaJournal::MAGIC) {
         let (fp, good, bad) = rsg_core::DeltaJournal::verify(p)?;
         if bad > 0 {
             return Err(rsg_core::StoreError::parse(

@@ -7,26 +7,28 @@
 //! model state — sweep cells, knee tables, planar fits, the cost
 //! model — as an explicit dependency DAG keyed by the sweep fingerprint
 //! (the same digest the checkpoint journals record), and propagates
-//! [`PlatformDelta`]s through it, dirtying and recomputing only the
-//! cells whose platform footprint actually changed.
+//! [`PlatformDelta`](rsg_platform::delta::PlatformDelta)s through it,
+//! dirtying and recomputing only the cells whose platform footprint
+//! actually changed.
 //!
 //! Robustness is the headline contract, in three layers:
 //!
-//! * **Transport** — deltas arrive through [`DeltaJournal`], a
-//!   checksummed append-only journal with the same discipline as the
-//!   sweep checkpoint journal: torn tails truncate back to the last
-//!   good record, a damaged or mismatched header quarantines the file
-//!   to `*.corrupt`, and every record carries a sequence number so the
-//!   engine can detect duplicates, reorderings and gaps instead of
-//!   trusting delivery order.
-//! * **Apply** — [`PushEngine::submit_batch`] is transactional:
-//!   every delta in a batch is validated against a scratch copy of the
-//!   platform before anything is committed, so one bad record rolls
-//!   back the whole batch. Duplicates (seq ≤ applied) are idempotently
-//!   skipped; out-of-order records are parked in a bounded buffer until
-//!   the gap fills (quarantine-and-resync, never a panic); the
-//!   [`Staleness`] stamp (applied seq + lag) rides on every answer so
-//!   a consumer always knows how current the state is.
+//! * **Transport** — deltas arrive through [`DeltaJournal`], the delta
+//!   instantiation of the store's checksummed line journal: torn tails
+//!   truncate back to the last good record, a damaged or mismatched
+//!   header quarantines the file to `*.corrupt`, and every record
+//!   carries a sequence number so the engine can detect duplicates,
+//!   reorderings and gaps instead of trusting delivery order.
+//! * **Apply** — [`PushEngine::submit_batch`] hands each batch to a
+//!   [`DeltaSequencer`], the one state machine that classifies and
+//!   applies records: transactional (one bad record rolls back the
+//!   whole batch), duplicates (seq ≤ applied) idempotently skipped,
+//!   out-of-order records parked in a bounded buffer until the gap
+//!   fills (quarantine-and-resync, never a panic). `rsg audit` folds
+//!   journals through the same sequencer, so its prediction of a boot
+//!   replay is the replay. The [`Staleness`] stamp (applied seq + lag)
+//!   rides on every answer so a consumer always knows how current the
+//!   state is.
 //! * **Audit** — [`PushEngine::audit`] periodically recomputes a
 //!   seeded random sample of cells from scratch off the live platform
 //!   and asserts bit-identity against the incremental state. Any
@@ -46,16 +48,14 @@ use crate::observation::{
     ObservationGrid, SweepInputs,
 };
 use crate::sizemodel::ThresholdedSizeModel;
-use crate::store::{fnv1a, quarantine, JournalRecovery, StoreError};
+use crate::store::fnv1a;
 use rayon::prelude::*;
 use rsg_obs::Counter;
-use rsg_platform::delta::{DeltaError, PlatformDelta};
+use rsg_platform::delta::{DeltaError, DeltaSequencer};
 use rsg_platform::{CostModel, Platform};
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+
+pub use crate::store::DeltaJournal;
+pub use rsg_platform::delta::{DeltaRecord, MAX_PARKED};
 
 /// Deltas applied to the live platform (post-dedup, post-ordering).
 static OBS_DELTAS_APPLIED: Counter = Counter::new("push.deltas_applied");
@@ -75,307 +75,6 @@ static OBS_AUDITS: Counter = Counter::new("push.audits");
 static OBS_DIVERGENCE: Counter = Counter::new("push.divergence");
 /// Batches that closed a pre-existing sequence gap.
 static OBS_RESYNCS: Counter = Counter::new("push.resyncs");
-
-/// Version tag folded into the delta-journal header fingerprint check.
-const DELTA_JOURNAL_VERSION: &str = "v1";
-
-/// Out-of-order records the engine will park before refusing more. A
-/// hostile stream of far-future sequence numbers fills this buffer and
-/// then gets rejected record-by-record — it can never exhaust memory.
-pub const MAX_PARKED: usize = 4096;
-
-/// One sequenced platform delta, as carried by the journal and the
-/// admin endpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeltaRecord {
-    /// Position in the delta stream; starts at 1, strictly increasing
-    /// at the source.
-    pub seq: u64,
-    /// The platform change itself.
-    pub delta: PlatformDelta,
-}
-
-/// An append-only, self-checksummed journal of [`DeltaRecord`]s — the
-/// durable transport between a platform-monitoring source and the
-/// [`PushEngine`]. Same discipline as the sweep checkpoint journal:
-/// matching header → replay every record whose checksum verifies,
-/// truncating a torn tail back to the last good line; mismatched or
-/// damaged header → quarantine to `*.corrupt` and start fresh.
-#[derive(Debug)]
-pub struct DeltaJournal {
-    path: PathBuf,
-    recovered: Vec<DeltaRecord>,
-    recovery: JournalRecovery,
-    file: Mutex<File>,
-}
-
-impl DeltaJournal {
-    /// The on-disk magic that identifies a delta journal.
-    pub const MAGIC: &'static str = "rsg-delta-journal";
-
-    fn header(fingerprint: u64) -> String {
-        format!(
-            "{}\t{DELTA_JOURNAL_VERSION}\t{fingerprint:016x}\n",
-            Self::MAGIC
-        )
-    }
-
-    /// Opens (or creates) the journal at `path` for an engine whose
-    /// configuration digests to `fingerprint`. On
-    /// [`JournalRecovery::Resumed`], [`recovered`](Self::recovered)
-    /// holds every intact record in file order (duplicates and
-    /// reorderings included — the engine's apply path owns those).
-    pub fn open(path: &Path, fingerprint: u64) -> Result<DeltaJournal, StoreError> {
-        let mut recovered = Vec::new();
-        let mut recovery = JournalRecovery::Fresh;
-        let mut good_bytes = 0usize;
-
-        match std::fs::read_to_string(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::io(path, "read", &e)),
-            Ok(text) => match Self::replay(&text, fingerprint) {
-                Ok((records, valid_len)) => {
-                    good_bytes = valid_len;
-                    recovery = JournalRecovery::Resumed {
-                        cells: records.len(),
-                    };
-                    recovered = records;
-                }
-                Err(_) => {
-                    quarantine(path);
-                    recovery = JournalRecovery::Quarantined;
-                }
-            },
-        }
-
-        if recovery == JournalRecovery::Fresh || recovery == JournalRecovery::Quarantined {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| StoreError::io(path, "create parent of", &e))?;
-            }
-            let mut f = File::create(path).map_err(|e| StoreError::io(path, "create", &e))?;
-            f.write_all(Self::header(fingerprint).as_bytes())
-                .map_err(|e| StoreError::io(path, "write", &e))?;
-            f.sync_all()
-                .map_err(|e| StoreError::io(path, "fsync", &e))?;
-            return Ok(DeltaJournal {
-                path: path.to_path_buf(),
-                recovered,
-                recovery,
-                file: Mutex::new(f),
-            });
-        }
-
-        // Truncate any torn tail, then reopen for appending.
-        let f = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, "open", &e))?;
-        f.set_len(good_bytes as u64)
-            .map_err(|e| StoreError::io(path, "truncate", &e))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, "open", &e))?;
-        Ok(DeltaJournal {
-            path: path.to_path_buf(),
-            recovered,
-            recovery,
-            file: Mutex::new(file),
-        })
-    }
-
-    /// Parses journal text; returns the intact records and the byte
-    /// length of the valid prefix. A damaged *header* is an error
-    /// (quarantine); a damaged *record* merely ends the valid prefix.
-    fn replay(text: &str, fingerprint: u64) -> Result<(Vec<DeltaRecord>, usize), StoreError> {
-        let (header, _) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
-            path: String::new(),
-            found: text.chars().take(40).collect(),
-        })?;
-        let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first() != Some(&Self::MAGIC) {
-            return Err(StoreError::BadMagic {
-                path: String::new(),
-                found: header.chars().take(40).collect(),
-            });
-        }
-        if fields.get(1) != Some(&DELTA_JOURNAL_VERSION) {
-            return Err(StoreError::Version {
-                path: String::new(),
-                found: fields.get(1).unwrap_or(&"").to_string(),
-            });
-        }
-        let found_fp = fields
-            .get(2)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| StoreError::parse("delta-journal", 1, "bad fingerprint field"))?;
-        if found_fp != fingerprint {
-            return Err(StoreError::Fingerprint {
-                path: String::new(),
-                expected: fingerprint,
-                found: found_fp,
-            });
-        }
-
-        let mut records = Vec::new();
-        let mut good = header.len() + 1;
-        for line in text[good..].split_inclusive('\n') {
-            let body = line.strip_suffix('\n');
-            match body.and_then(Self::parse_line) {
-                Some(rec) => {
-                    records.push(rec);
-                    good += line.len();
-                }
-                None => break, // torn or damaged tail
-            }
-        }
-        Ok((records, good))
-    }
-
-    /// Parses one `delta` line, verifying its trailing checksum. The
-    /// sequence number must parse as `u64` — a hostile or bit-flipped
-    /// seq field fails here and classifies the line as damaged.
-    fn parse_line(line: &str) -> Option<DeltaRecord> {
-        let (prefix, sum) = line.rsplit_once('\t')?;
-        let expected = u64::from_str_radix(sum, 16).ok()?;
-        if fnv1a(prefix.as_bytes()) != expected {
-            return None;
-        }
-        let rest = prefix.strip_prefix("delta\t")?;
-        let (seq_field, delta_tsv) = rest.split_once('\t')?;
-        let seq: u64 = seq_field.parse().ok()?;
-        let delta = PlatformDelta::from_tsv(delta_tsv).ok()?;
-        Some(DeltaRecord { seq, delta })
-    }
-
-    /// The records recovered by replay, in file order.
-    pub fn recovered(&self) -> &[DeltaRecord] {
-        &self.recovered
-    }
-
-    /// What [`DeltaJournal::open`] found on disk (`cells` counts
-    /// recovered delta records).
-    pub fn recovery(&self) -> JournalRecovery {
-        self.recovery
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn encode(rec: &DeltaRecord) -> String {
-        let prefix = format!("delta\t{}\t{}", rec.seq, rec.delta.to_tsv());
-        format!("{prefix}\t{:016x}\n", fnv1a(prefix.as_bytes()))
-    }
-
-    /// Durably appends one record (write + fsync under the journal
-    /// lock).
-    pub fn append(&self, rec: &DeltaRecord) -> Result<(), StoreError> {
-        let line = Self::encode(rec);
-        let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        f.write_all(line.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, "append to", &e))?;
-        f.sync_data()
-            .map_err(|e| StoreError::io(&self.path, "fsync", &e))?;
-        Ok(())
-    }
-
-    /// Durably appends a whole batch as one write + one fsync. On any
-    /// error the file is truncated back to its pre-append length
-    /// (best-effort), so a failed append never leaves a partial batch
-    /// behind — the journal either holds the whole batch or none of it.
-    pub fn append_batch(&self, recs: &[DeltaRecord]) -> Result<(), StoreError> {
-        let mut buf = String::new();
-        for rec in recs {
-            buf.push_str(&Self::encode(rec));
-        }
-        let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        let rollback = f.metadata().map(|m| m.len()).ok();
-        let res = f
-            .write_all(buf.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, "append to", &e))
-            .and_then(|()| {
-                f.sync_data()
-                    .map_err(|e| StoreError::io(&self.path, "fsync", &e))
-            });
-        if res.is_err() {
-            if let Some(len) = rollback {
-                let _ = f.set_len(len);
-            }
-        }
-        res
-    }
-
-    /// Read-only validation of a delta journal (used by `rsg store
-    /// verify`): checks magic, version and every record checksum
-    /// without truncating or quarantining anything. Returns
-    /// `(fingerprint, valid records, damaged tail lines)`.
-    pub fn verify(path: &Path) -> Result<(u64, usize, usize), StoreError> {
-        let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read", &e))?;
-        let (header, rest) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
-            path: path.display().to_string(),
-            found: text.chars().take(40).collect(),
-        })?;
-        let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first() != Some(&Self::MAGIC) {
-            return Err(StoreError::BadMagic {
-                path: path.display().to_string(),
-                found: header.chars().take(40).collect(),
-            });
-        }
-        if fields.get(1) != Some(&DELTA_JOURNAL_VERSION) {
-            return Err(StoreError::Version {
-                path: path.display().to_string(),
-                found: fields.get(1).unwrap_or(&"").to_string(),
-            });
-        }
-        let fp = fields
-            .get(2)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| {
-                StoreError::parse("delta-journal", 1, "bad fingerprint field").with_path(path)
-            })?;
-        let mut good = 0usize;
-        let mut bad = 0usize;
-        for line in rest.split_inclusive('\n') {
-            let ok = line.strip_suffix('\n').and_then(Self::parse_line).is_some();
-            if ok && bad == 0 {
-                good += 1;
-            } else if !line.trim().is_empty() {
-                bad += 1;
-            }
-        }
-        Ok((fp, good, bad))
-    }
-
-    /// Read-only decode of a delta journal: the header fingerprint,
-    /// every intact record in file order, and the count of damaged
-    /// lines after the valid prefix. Unlike [`open`](Self::open) this
-    /// never truncates, quarantines or creates anything — it is the
-    /// introspection surface an offline auditor folds from. Same header
-    /// strictness as [`verify`](Self::verify); the caller decides what
-    /// a fingerprint mismatch means.
-    pub fn read_records(path: &Path) -> Result<(u64, Vec<DeltaRecord>, usize), StoreError> {
-        let (fp, _, _) = Self::verify(path)?;
-        let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read", &e))?;
-        let rest = text.split_once('\n').map_or("", |(_, r)| r);
-        let mut records = Vec::new();
-        let mut damaged = 0usize;
-        for line in rest.split_inclusive('\n') {
-            match line.strip_suffix('\n').and_then(Self::parse_line) {
-                Some(rec) if damaged == 0 => records.push(rec),
-                _ => {
-                    if !line.trim().is_empty() {
-                        damaged += 1;
-                    }
-                }
-            }
-        }
-        Ok((fp, records, damaged))
-    }
-}
 
 /// Lifecycle of one node in the model dependency DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,10 +127,8 @@ pub struct DepNode {
 pub struct Staleness {
     /// Highest contiguously applied sequence number.
     pub applied_seq: u64,
-    /// Highest sequence number ever *accepted* — applied or parked.
-    /// Records the engine rejected (parked-buffer overflow) do not
-    /// count: the caller was told they were refused, so they must not
-    /// inflate the lag until they are actually redelivered.
+    /// Highest sequence number ever accepted (see
+    /// [`DeltaSequencer::highest_seen`]).
     pub highest_seen: u64,
     /// `highest_seen - applied_seq`: 0 means fully current.
     pub lag: u64,
@@ -543,16 +240,12 @@ pub struct PushEngine {
     refine_rounds: u32,
     fingerprint: u64,
     inputs: SweepInputs,
-    platform: Platform,
-    cost: CostModel,
+    sequencer: DeltaSequencer,
     families: Vec<RcFamily>,
     per_cell: Vec<Vec<f64>>,
     tables: Vec<KneeTable>,
     model: ThresholdedSizeModel,
     nodes: Vec<DepNode>,
-    applied_seq: u64,
-    highest_seen: u64,
-    pending: BTreeMap<u64, DeltaRecord>,
 }
 
 impl PushEngine {
@@ -628,16 +321,12 @@ impl PushEngine {
             refine_rounds,
             fingerprint,
             inputs,
-            platform,
-            cost,
+            sequencer: DeltaSequencer::new(platform, cost),
             families,
             per_cell,
             tables,
             model,
             nodes,
-            applied_seq: 0,
-            highest_seen: 0,
-            pending: BTreeMap::new(),
         }
     }
 
@@ -649,12 +338,12 @@ impl PushEngine {
 
     /// The current (delta-tracked) platform.
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        self.sequencer.platform()
     }
 
     /// The current cost model.
     pub fn cost(&self) -> CostModel {
-        self.cost
+        self.sequencer.cost()
     }
 
     /// The knee tables consistent with every applied delta.
@@ -682,139 +371,50 @@ impl PushEngine {
     /// until then answers are stale-but-stamped, never wrong.
     pub fn staleness(&self) -> Staleness {
         Staleness {
-            applied_seq: self.applied_seq,
-            highest_seen: self.highest_seen,
-            lag: self.highest_seen - self.applied_seq,
+            applied_seq: self.sequencer.applied_seq(),
+            highest_seen: self.sequencer.highest_seen(),
+            lag: self.sequencer.lag(),
         }
     }
 
     /// The lowest missing sequence number, when a gap is open.
     pub fn gap(&self) -> Option<u64> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.applied_seq + 1)
-        }
+        self.sequencer.gap()
     }
 
-    /// Applies a batch of delta records transactionally.
+    /// Applies a batch of delta records transactionally: the
+    /// [`DeltaSequencer`] decides which records apply, skip, park or
+    /// refuse the batch (see [`DeltaSequencer::submit_batch`]); a
+    /// refused batch returns `Err` with no state change — the serving
+    /// tier maps this to a 422 with the batch rolled back.
     ///
-    /// Classification per record: `seq ≤ applied`, or already parked
-    /// with the *same* payload → duplicate, skipped idempotently;
-    /// already parked with a *different* payload → the source is
-    /// contradicting itself, and the whole batch is refused with
-    /// [`DeltaError::ConflictingSeq`] rather than silently picking a
-    /// side; contiguous with the applied prefix → applied (possibly
-    /// draining parked records behind it); future → parked (bounded by
-    /// [`MAX_PARKED`]; overflow rejects the record, never grows
-    /// memory, and does not advance `highest_seen`).
-    ///
-    /// Validation is all-or-nothing for the *incoming* records: every
-    /// delta that would apply is first checked against a scratch copy
-    /// of the platform, and any failure returns `Err` with no state
-    /// change at all — the serving tier maps this to a 422 with the
-    /// batch rolled back. A *previously parked* record that turns out
-    /// invalid when its gap finally fills is dropped and its sequence
-    /// number skipped (`push.deltas_rejected`) — a poisoned record must
-    /// not wedge the stream forever.
-    ///
-    /// On success the dirty set is recomputed eagerly: per-cell
-    /// families are rederived from the mutated platform and exactly the
-    /// cells whose family changed are recomputed, then the downstream
-    /// tables and fit rebuilt.
+    /// When anything applied, the dirty set is recomputed eagerly:
+    /// per-cell families are rederived from the mutated platform and
+    /// exactly the cells whose family changed are recomputed, then the
+    /// downstream tables and fit rebuilt.
     pub fn submit_batch(&mut self, records: &[DeltaRecord]) -> Result<BatchOutcome, DeltaError> {
-        let mut out = BatchOutcome::default();
-        let gap_was_open = !self.pending.is_empty();
-
-        // Stage everything on scratch copies; commit only on success.
-        let mut platform = self.platform.clone();
-        let mut cost = self.cost;
-        let mut pending = self.pending.clone();
-        let mut applied_seq = self.applied_seq;
-        let mut highest_seen = self.highest_seen;
-        let mut applied_any = false;
-
-        let mut incoming: Vec<DeltaRecord> = records.to_vec();
-        incoming.sort_by_key(|r| r.seq);
-
-        for rec in &incoming {
-            if rec.seq <= applied_seq {
-                out.duplicates += 1;
-                continue;
-            }
-            if let Some(parked) = pending.get(&rec.seq) {
-                if parked.delta == rec.delta {
-                    out.duplicates += 1;
-                    continue;
-                }
-                // Same seq, different payload: a correction the
-                // first-write-wins park would silently discard. Refuse
-                // the batch so the conflict is surfaced instead.
-                return Err(DeltaError::ConflictingSeq(rec.seq));
-            }
-            if rec.seq == applied_seq + 1 {
-                // Incoming and contiguous: strict validation — any
-                // failure rejects the whole batch.
-                rec.delta.apply(&mut platform, &mut cost)?;
-                applied_seq = rec.seq;
-                highest_seen = highest_seen.max(rec.seq);
-                out.applied += 1;
-                applied_any = true;
-                // Drain parked records now contiguous. These were
-                // accepted in an earlier batch; if the state the gap
-                // fill produced makes one invalid, drop it and move on
-                // rather than wedging the stream.
-                while let Some(next) = pending.remove(&(applied_seq + 1)) {
-                    match next.delta.apply(&mut platform, &mut cost) {
-                        Ok(()) => {
-                            out.applied += 1;
-                            applied_any = true;
-                        }
-                        Err(_) => out.rejected += 1,
-                    }
-                    applied_seq = next.seq;
-                    highest_seen = highest_seen.max(next.seq);
-                }
-            } else if pending.len() >= MAX_PARKED {
-                // Overflow: the record is refused, so it must not
-                // ratchet highest_seen — a rejected seq the caller was
-                // told about would otherwise count as lag forever.
-                out.rejected += 1;
-            } else {
-                // Future record: park it (bounded). Structural
-                // validation only — range checks against the platform
-                // happen at drain time, once the intervening records
-                // have shaped the state.
-                pending.insert(rec.seq, *rec);
-                out.parked += 1;
-                highest_seen = highest_seen.max(rec.seq);
-            }
-        }
-
-        // Commit.
-        self.platform = platform;
-        self.cost = cost;
-        self.pending = pending;
-        self.applied_seq = applied_seq;
-        self.highest_seen = highest_seen;
-
-        OBS_DELTAS_APPLIED.add(out.applied as u64);
-        OBS_DELTAS_DUPLICATE.add(out.duplicates as u64);
-        OBS_DELTAS_PARKED.add(out.parked as u64);
-        OBS_DELTAS_REJECTED.add(out.rejected as u64);
-        // A resync completes when a batch drains a previously parked
-        // buffer: the gap that forced the quarantine is closed.
-        if gap_was_open && applied_any && self.pending.is_empty() {
-            out.resynced = true;
+        let seq = self.sequencer.submit_batch(records)?;
+        OBS_DELTAS_APPLIED.add(seq.applied as u64);
+        OBS_DELTAS_DUPLICATE.add(seq.duplicates as u64);
+        OBS_DELTAS_PARKED.add(seq.parked as u64);
+        OBS_DELTAS_REJECTED.add(seq.rejected as u64);
+        if seq.resynced {
             OBS_RESYNCS.incr();
         }
-
-        if applied_any {
-            let (dirtied, recomputed) = self.propagate();
-            out.dirtied = dirtied;
-            out.recomputed = recomputed;
-        }
-        Ok(out)
+        let (dirtied, recomputed) = if seq.applied > 0 {
+            self.propagate()
+        } else {
+            (0, 0)
+        };
+        Ok(BatchOutcome {
+            applied: seq.applied,
+            duplicates: seq.duplicates,
+            parked: seq.parked,
+            rejected: seq.rejected,
+            dirtied,
+            recomputed,
+            resynced: seq.resynced,
+        })
     }
 
     /// Rederives every cell's family from the current platform, marks
@@ -826,7 +426,7 @@ impl PushEngine {
         let fresh: Vec<RcFamily> = (0..ncells)
             .map(|c| {
                 derive_family(
-                    &self.platform,
+                    self.sequencer.platform(),
                     &self.cfg,
                     *self.inputs.ladders[c].last().unwrap(),
                 )
@@ -898,9 +498,10 @@ impl PushEngine {
     pub fn audit(&mut self, sample: usize, salt: u64) -> AuditReport {
         OBS_AUDITS.incr();
         let ncells = self.inputs.cells.len();
+        let applied_seq = self.sequencer.applied_seq();
         let mut state = self
             .fingerprint
-            .wrapping_add(self.applied_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(applied_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add(salt);
         let mut picked = std::collections::BTreeSet::new();
         for _ in 0..sample.min(ncells) * 4 {
@@ -923,7 +524,7 @@ impl PushEngine {
         let mut repaired = false;
         for c in picked {
             let cap = *self.inputs.ladders[c].last().unwrap();
-            let fam = derive_family(&self.platform, &self.cfg, cap);
+            let fam = derive_family(self.sequencer.platform(), &self.cfg, cap);
             let fresh = compute_cell_rc(
                 &self.inputs,
                 &self.cfg,
@@ -976,6 +577,7 @@ pub fn engine_cell_list(grid: &ObservationGrid) -> Vec<(usize, usize, usize, usi
 mod tests {
     use super::*;
     use crate::THRESHOLD_LADDER;
+    use rsg_platform::delta::PlatformDelta;
     use rsg_platform::{ClusterId, ResourceGenSpec, TopologySpec};
 
     fn tiny_platform() -> Platform {
@@ -999,13 +601,6 @@ mod tests {
             tiny_platform(),
             CostModel::default(),
         )
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("rsg-push-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
     }
 
     #[test]
@@ -1190,80 +785,5 @@ mod tests {
         // Nothing changed: the original parked record is still there.
         assert_eq!(eng.staleness().highest_seen, 5);
         assert_eq!(eng.gap(), Some(1));
-    }
-
-    #[test]
-    fn journal_round_trip_and_torn_tail() {
-        let dir = tmpdir("journal");
-        let path = dir.join("deltas.journal");
-        let fp = 0xDEAD_BEEF_u64;
-        let j = DeltaJournal::open(&path, fp).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Fresh);
-        let recs = [
-            DeltaRecord {
-                seq: 1,
-                delta: PlatformDelta::HostJoin {
-                    cluster: ClusterId(2),
-                    hosts: 4,
-                },
-            },
-            DeltaRecord {
-                seq: 2,
-                delta: PlatformDelta::PriceChange {
-                    dollars_per_hour: 0.15,
-                },
-            },
-        ];
-        for r in &recs {
-            j.append(r).unwrap();
-        }
-        drop(j);
-
-        // Tear the tail mid-record.
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"delta\t3\tprice\t0.").unwrap();
-        }
-        let (vfp, good, bad) = DeltaJournal::verify(&path).unwrap();
-        assert_eq!(vfp, fp);
-        assert_eq!(good, 2);
-        assert_eq!(bad, 1);
-
-        let j = DeltaJournal::open(&path, fp).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 2 });
-        assert_eq!(j.recovered(), &recs[..]);
-        drop(j);
-
-        // Wrong fingerprint quarantines.
-        let j = DeltaJournal::open(&path, fp ^ 1).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Quarantined);
-        assert!(std::fs::read_dir(&dir).unwrap().any(|e| e
-            .unwrap()
-            .file_name()
-            .to_string_lossy()
-            .contains("corrupt")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_rejects_hostile_lines() {
-        let dir = tmpdir("hostile");
-        let path = dir.join("deltas.journal");
-        let fp = 0x1234_u64;
-        // Valid header, hostile bodies: bad checksum, bad seq, bad TSV.
-        let header = format!("rsg-delta-journal\tv1\t{fp:016x}\n");
-        for tail in [
-            "delta\t1\tprice\t0.1\t0000000000000000\n",
-            "delta\t99999999999999999999999\tprice\t0.1\tdeadbeef\n",
-            "delta\t-1\tprice\t0.1\tdeadbeef\n",
-            "garbage\n",
-        ] {
-            std::fs::write(&path, format!("{header}{tail}")).unwrap();
-            let (_, good, bad) = DeltaJournal::verify(&path).unwrap();
-            assert_eq!(good, 0, "{tail:?}");
-            assert_eq!(bad, 1, "{tail:?}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

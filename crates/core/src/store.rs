@@ -1,12 +1,12 @@
 //! Crash-safe artifact store: checksummed envelopes, atomic writes,
-//! quarantine-and-rebuild, and the sweep checkpoint journal.
+//! quarantine-and-rebuild, and the line journals.
 //!
 //! Every durable artifact the pipeline writes (trained models, knee
-//! tables, sweep caches) goes through this module so that a crash,
-//! preemption or partial write can never leave a corrupt file that is
-//! later *trusted*. The discipline is the one long-lived Condor daemons
-//! use: write to a temporary file, fsync, rename into place, and verify
-//! a checksum on every load.
+//! tables, sweep caches, journals) goes through this module so that a
+//! crash, preemption or partial write can never leave a corrupt file
+//! that is later *trusted*. The discipline is the one long-lived Condor
+//! daemons use: write to a temporary file, fsync, rename into place,
+//! and verify a checksum on every load.
 //!
 //! # Envelope format
 //!
@@ -22,26 +22,35 @@
 //! [`StoreError`] — never a panic, never silently wrong data — when
 //! anything disagrees.
 //!
-//! # Journal format
+//! # Journal formats
 //!
-//! The sweep checkpoint journal (see
-//! [`observation::measure_checkpointed`](crate::observation::measure_checkpointed))
-//! is append-only, one self-checksummed line per completed grid cell:
+//! A [`LineJournal`] is append-only: a header naming the journal kind
+//! and the configuration fingerprint it belongs to, then one
+//! self-checksummed line per record (the trailing field is the FNV-1a
+//! of everything before its tab). Two kinds exist, each a [`Codec`]:
 //!
 //! ```text
 //! rsg-sweep-journal<TAB>v1<TAB><fingerprint-hex><TAB><thetas>
 //! cell<TAB><idx><TAB><knee0><TAB>...<TAB><fnv64-hex-of-prefix>
+//!
+//! rsg-delta-journal<TAB>v1<TAB><fingerprint-hex>
+//! delta<TAB><seq><TAB><platform-delta-tsv><TAB><fnv64-hex-of-prefix>
 //! ```
 //!
-//! A torn tail (the line being appended when the process died) fails
-//! its line checksum; replay truncates the journal back to the last
-//! good line and the sweep recomputes only what is missing. A header
-//! whose fingerprint does not match the current configuration moves the
-//! whole journal aside (`*.corrupt`) and starts fresh.
+//! [`SweepJournal`] checkpoints one completed grid cell per line (see
+//! [`observation::measure_checkpointed`](crate::observation::measure_checkpointed));
+//! [`DeltaJournal`] carries one sequenced platform delta per line to
+//! the push engine. A torn tail (the line being appended when the
+//! process died) fails its line checksum; replay truncates the journal
+//! back to the last good line. A header whose fingerprint does not
+//! match the current configuration moves the whole journal aside
+//! (`*.corrupt`) and starts fresh. Both kinds report through the same
+//! `core.store.*` counters.
 
 use rsg_obs::{Counter, TimingHistogram};
+use rsg_platform::delta::{DeltaRecord, PlatformDelta};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -49,7 +58,7 @@ use std::sync::Mutex;
 
 /// Envelope-format version written by this crate.
 pub const ENVELOPE_VERSION: &str = "v1";
-/// Journal-format version written by this crate.
+/// Journal-format version written by this crate (both kinds).
 pub const JOURNAL_VERSION: &str = "v1";
 
 /// Completed atomic artifact writes.
@@ -60,7 +69,7 @@ static OBS_FSYNCS: Counter = Counter::new("core.store.fsyncs");
 static OBS_CHECKSUM_FAILURES: Counter = Counter::new("core.store.checksum_failures");
 /// Artifacts moved aside to `*.corrupt`.
 static OBS_QUARANTINED: Counter = Counter::new("core.store.quarantined");
-/// Journal replays that recovered at least one completed cell.
+/// Journal replays that recovered at least one record.
 static OBS_JOURNAL_REPLAYS: Counter = Counter::new("core.store.journal_replays");
 /// Sweep cells restored from a journal instead of being recomputed.
 static OBS_CELLS_RESUMED: Counter = Counter::new("core.store.cells_resumed");
@@ -507,15 +516,17 @@ pub fn load_or_rebuild<T>(
     value
 }
 
-/// What a [`SweepJournal::open`] replay found on disk.
+/// What a journal's [`open`](LineJournal::open_with) replay found on
+/// disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalRecovery {
-    /// No journal existed; a fresh one was created.
+    /// No journal existed, or it held no intact record; a fresh one was
+    /// written.
     Fresh,
-    /// The journal matched and `cells` completed cells were recovered.
+    /// The journal matched and `records` intact records were recovered.
     Resumed {
-        /// Cells recovered from the journal.
-        cells: usize,
+        /// Records recovered from the journal.
+        records: usize,
     },
     /// The journal belonged to a different configuration (or was
     /// damaged beyond its header) and was quarantined; a fresh one was
@@ -523,197 +534,123 @@ pub enum JournalRecovery {
     Quarantined,
 }
 
-/// An append-only, self-checksummed record of completed sweep cells.
+/// One journal kind's line format. [`LineJournal`] owns everything the
+/// kinds share — the `<magic>\tv1\t<fingerprint>` header, the trailing
+/// FNV-1a checksum on every record line, replay, torn-tail truncation,
+/// quarantine and durable appends; the codec owns the rest.
+pub trait Codec: Sized + PartialEq + fmt::Debug {
+    /// One decoded record line.
+    type Record;
+    /// How an opened journal keeps its recovered records.
+    type Recovered: FromIterator<Self::Record> + fmt::Debug;
+    /// The header's first field, naming the journal kind.
+    const MAGIC: &'static str;
+    /// The header fields after the fingerprint, each with its leading
+    /// tab.
+    fn header_fields(&self) -> String;
+    /// Reads the codec back from the header fields after the
+    /// fingerprint.
+    fn from_header_fields(fields: &[&str]) -> Result<Self, &'static str>;
+    /// A record's line body: everything before the checksum.
+    fn encode(&self, rec: &Self::Record) -> String;
+    /// Decodes a checksum-verified line body; `None` marks it damaged.
+    fn decode(&self, body: &str) -> Option<Self::Record>;
+}
+
+/// An append-only journal of self-checksummed record lines, keyed by a
+/// configuration fingerprint in its header.
 ///
-/// Thread-safe: [`append`](SweepJournal::append) serializes through an
-/// internal mutex so rayon workers can checkpoint concurrently.
+/// Thread-safe: appends serialize through an internal mutex so rayon
+/// workers can checkpoint concurrently.
 #[derive(Debug)]
-pub struct SweepJournal {
+pub struct LineJournal<C: Codec> {
     path: PathBuf,
-    completed: HashMap<usize, Vec<f64>>,
+    codec: C,
+    recovered: C::Recovered,
     recovery: JournalRecovery,
     file: Mutex<File>,
 }
 
-impl SweepJournal {
-    /// Opens (or creates) the journal at `path` for a sweep whose
-    /// configuration digests to `fingerprint` and measures
-    /// `thetas_len` thresholds per cell.
+impl<C: Codec> LineJournal<C> {
+    /// The on-disk magic that identifies this journal kind.
+    pub const MAGIC: &'static str = C::MAGIC;
+
+    /// Opens (or creates) the journal at `path` for a configuration
+    /// that digests to `fingerprint` and writes `codec`'s header.
     ///
     /// Replay rules:
     /// * matching header → every line whose checksum and shape verify
-    ///   is recovered; the first damaged line (a torn append) truncates
-    ///   the journal back to the last good line;
+    ///   is recovered, in file order; the first damaged line (a torn
+    ///   append) truncates the journal back to the last good line;
+    /// * no intact record → a fresh journal is written;
     /// * mismatched or damaged header → the whole file is quarantined
     ///   to `*.corrupt` and a fresh journal starts.
-    pub fn open(
-        path: &Path,
-        fingerprint: u64,
-        thetas_len: usize,
-    ) -> Result<SweepJournal, StoreError> {
-        let mut completed = HashMap::new();
+    pub fn open_with(path: &Path, fingerprint: u64, codec: C) -> Result<Self, StoreError> {
         let mut recovery = JournalRecovery::Fresh;
-        let mut good_bytes = 0usize;
-
+        let mut records = Vec::new();
+        let mut valid_len = 0;
         match std::fs::read_to_string(path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(StoreError::io(path, "read", &e)),
-            Ok(text) => match Self::replay(&text, fingerprint, thetas_len) {
-                Ok((cells, valid_len)) => {
-                    good_bytes = valid_len;
-                    if !cells.is_empty() {
-                        OBS_JOURNAL_REPLAYS.incr();
-                        OBS_CELLS_RESUMED.add(cells.len() as u64);
-                        recovery = JournalRecovery::Resumed { cells: cells.len() };
+            Ok(text) => match parse_header::<C>(&text) {
+                Ok((fp, found, start)) if fp == fingerprint && found == codec => {
+                    let (recs, end, _) = scan(&codec, &text, start);
+                    if end < text.len() {
+                        // Torn or damaged tail: truncated away below.
+                        OBS_CHECKSUM_FAILURES.incr();
                     }
-                    completed = cells;
+                    if !recs.is_empty() {
+                        OBS_JOURNAL_REPLAYS.incr();
+                        recovery = JournalRecovery::Resumed {
+                            records: recs.len(),
+                        };
+                    }
+                    records = recs;
+                    valid_len = end;
                 }
-                Err(_) => {
+                _ => {
                     quarantine(path);
                     recovery = JournalRecovery::Quarantined;
                 }
             },
         }
 
-        if recovery == JournalRecovery::Fresh || recovery == JournalRecovery::Quarantined {
+        let file = if let JournalRecovery::Resumed { .. } = recovery {
+            let f = OpenOptions::new()
+                .append(true)
+                .open(path)
+                .map_err(|e| StoreError::io(path, "open", &e))?;
+            f.set_len(valid_len as u64)
+                .map_err(|e| StoreError::io(path, "truncate", &e))?;
+            f
+        } else {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| StoreError::io(path, "create parent of", &e))?;
             }
+            let header = format!(
+                "{}\t{JOURNAL_VERSION}\t{fingerprint:016x}{}\n",
+                C::MAGIC,
+                codec.header_fields()
+            );
             let mut f = File::create(path).map_err(|e| StoreError::io(path, "create", &e))?;
-            f.write_all(Self::header(fingerprint, thetas_len).as_bytes())
+            f.write_all(header.as_bytes())
                 .map_err(|e| StoreError::io(path, "write", &e))?;
             f.sync_all()
                 .map_err(|e| StoreError::io(path, "fsync", &e))?;
             OBS_FSYNCS.incr();
-            return Ok(SweepJournal {
-                path: path.to_path_buf(),
-                completed,
-                recovery,
-                file: Mutex::new(f),
-            });
-        }
-
-        // Truncate any torn tail, then reopen for appending.
-        let f = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, "open", &e))?;
-        f.set_len(good_bytes as u64)
-            .map_err(|e| StoreError::io(path, "truncate", &e))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, "open", &e))?;
-        Ok(SweepJournal {
+            f
+        };
+        Ok(LineJournal {
             path: path.to_path_buf(),
-            completed,
+            codec,
+            recovered: records.into_iter().collect(),
             recovery,
             file: Mutex::new(file),
         })
     }
 
-    fn header(fingerprint: u64, thetas_len: usize) -> String {
-        format!("rsg-sweep-journal\t{JOURNAL_VERSION}\t{fingerprint:016x}\t{thetas_len}\n")
-    }
-
-    /// Parses journal text; returns the recovered cells and the byte
-    /// length of the valid prefix (header + good lines). A damaged
-    /// *header* is an error (quarantine); a damaged *line* merely ends
-    /// the valid prefix (torn append).
-    fn replay(
-        text: &str,
-        fingerprint: u64,
-        thetas_len: usize,
-    ) -> Result<(HashMap<usize, Vec<f64>>, usize), StoreError> {
-        let (header, _) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
-            path: String::new(),
-            found: text.chars().take(40).collect(),
-        })?;
-        let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first() != Some(&"rsg-sweep-journal") {
-            return Err(StoreError::BadMagic {
-                path: String::new(),
-                found: header.chars().take(40).collect(),
-            });
-        }
-        if fields.get(1) != Some(&JOURNAL_VERSION) {
-            return Err(StoreError::Version {
-                path: String::new(),
-                found: fields.get(1).unwrap_or(&"").to_string(),
-            });
-        }
-        let found_fp = fields
-            .get(2)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| StoreError::parse("sweep-journal", 1, "bad fingerprint field"))?;
-        if found_fp != fingerprint {
-            return Err(StoreError::Fingerprint {
-                path: String::new(),
-                expected: fingerprint,
-                found: found_fp,
-            });
-        }
-        let found_thetas: usize = fields
-            .get(3)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| StoreError::parse("sweep-journal", 1, "bad theta-count field"))?;
-        if found_thetas != thetas_len {
-            return Err(StoreError::parse(
-                "sweep-journal",
-                1,
-                format!("journal holds {found_thetas} thetas per cell, sweep wants {thetas_len}"),
-            ));
-        }
-
-        let mut completed = HashMap::new();
-        let mut good = header.len() + 1;
-        for line in text[good..].split_inclusive('\n') {
-            let body = line.strip_suffix('\n');
-            match body.and_then(|b| Self::parse_line(b, thetas_len)) {
-                Some((idx, knees)) => {
-                    completed.insert(idx, knees);
-                    good += line.len();
-                }
-                None => {
-                    // Torn or damaged tail: stop here; everything after
-                    // the last good line is recomputed.
-                    OBS_CHECKSUM_FAILURES.incr();
-                    break;
-                }
-            }
-        }
-        Ok((completed, good))
-    }
-
-    /// Parses one `cell` line, verifying its trailing checksum and that
-    /// it carries exactly `thetas_len` knee values.
-    fn parse_line(line: &str, thetas_len: usize) -> Option<(usize, Vec<f64>)> {
-        let (prefix, sum) = line.rsplit_once('\t')?;
-        let expected = u64::from_str_radix(sum, 16).ok()?;
-        if fnv1a(prefix.as_bytes()) != expected {
-            return None;
-        }
-        let mut parts = prefix.split('\t');
-        if parts.next() != Some("cell") {
-            return None;
-        }
-        let idx: usize = parts.next()?.parse().ok()?;
-        let knees: Option<Vec<f64>> = parts.map(|s| s.parse().ok()).collect();
-        let knees = knees?;
-        if knees.len() != thetas_len {
-            return None;
-        }
-        Some((idx, knees))
-    }
-
-    /// The cells recovered by replay: grid cell index → per-theta
-    /// knees, exactly as they were measured before the interruption.
-    pub fn completed(&self) -> &HashMap<usize, Vec<f64>> {
-        &self.completed
-    }
-
-    /// What [`SweepJournal::open`] found on disk.
+    /// What [`open_with`](Self::open_with) found on disk.
     pub fn recovery(&self) -> JournalRecovery {
         self.recovery
     }
@@ -723,72 +660,273 @@ impl SweepJournal {
         &self.path
     }
 
-    /// Durably appends one completed cell (write + fsync under the
-    /// journal lock). Knees serialize in shortest-round-trip form, so a
-    /// replayed value is bit-identical to the measured one.
-    pub fn append(&self, idx: usize, knees: &[f64]) -> Result<(), StoreError> {
-        let mut prefix = format!("cell\t{idx}");
-        for k in knees {
-            prefix.push('\t');
-            prefix.push_str(&k.to_string());
+    /// Durably appends a batch of records as one write + one fsync
+    /// under the journal lock. On any error the file is truncated back
+    /// to its pre-append length (best-effort), so a failed append never
+    /// leaves a partial batch behind.
+    pub fn append_batch(&self, recs: &[C::Record]) -> Result<(), StoreError> {
+        let mut buf = String::new();
+        for rec in recs {
+            let body = self.codec.encode(rec);
+            let sum = fnv1a(body.as_bytes());
+            let _ = writeln!(buf, "{body}\t{sum:016x}");
         }
-        let line = format!("{prefix}\t{:016x}\n", fnv1a(prefix.as_bytes()));
         let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        f.write_all(line.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, "append to", &e))?;
-        f.sync_data()
-            .map_err(|e| StoreError::io(&self.path, "fsync", &e))?;
-        OBS_FSYNCS.incr();
+        let rollback = f.metadata().map(|m| m.len()).ok();
+        let res = f
+            .write_all(buf.as_bytes())
+            .map_err(|e| StoreError::io(&self.path, "append to", &e))
+            .and_then(|()| {
+                f.sync_data()
+                    .map_err(|e| StoreError::io(&self.path, "fsync", &e))
+            });
+        match (&res, rollback) {
+            (Ok(()), _) => OBS_FSYNCS.incr(),
+            (Err(_), Some(len)) => {
+                let _ = f.set_len(len);
+            }
+            (Err(_), None) => {}
+        }
+        res
+    }
+
+    /// Read-only decode of one journal file, from a single read: the
+    /// header fingerprint, the codec its header describes, the records
+    /// [`open_with`](Self::open_with) would recover, and the count of
+    /// non-blank lines after them (the tail a resume truncates). Never
+    /// truncates, quarantines or creates anything; the caller decides
+    /// what a fingerprint means.
+    pub fn inspect(path: &Path) -> Result<Inspected<C>, StoreError> {
+        let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read", &e))?;
+        let (fp, codec, start) = parse_header::<C>(&text).map_err(|e| e.with_path(path))?;
+        let (records, _, damaged) = scan(&codec, &text, start);
+        Ok((fp, codec, records, damaged))
+    }
+}
+
+/// `(fingerprint, codec, records, damaged tail lines)` of one journal
+/// file, as [`LineJournal::inspect`] reads it.
+type Inspected<C> = (u64, C, Vec<<C as Codec>::Record>, usize);
+
+/// Checks a journal header against `C`'s magic and the journal version;
+/// returns the fingerprint, the codec the header describes, and the
+/// byte offset of the first record line. Errors carry no path.
+fn parse_header<C: Codec>(text: &str) -> Result<(u64, C, usize), StoreError> {
+    // Parse errors name the kind without its `rsg-` prefix.
+    let artifact = C::MAGIC.trim_start_matches("rsg-");
+    let bad_magic = |found: &str| StoreError::BadMagic {
+        path: String::new(),
+        found: found.chars().take(40).collect(),
+    };
+    let (header, _) = text.split_once('\n').ok_or_else(|| bad_magic(text))?;
+    let fields: Vec<&str> = header.split('\t').collect();
+    if fields[0] != C::MAGIC {
+        return Err(bad_magic(header));
+    }
+    if fields.get(1) != Some(&JOURNAL_VERSION) {
+        return Err(StoreError::Version {
+            path: String::new(),
+            found: fields.get(1).unwrap_or(&"").to_string(),
+        });
+    }
+    let fp = fields
+        .get(2)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| StoreError::parse(artifact, 1, "bad fingerprint field"))?;
+    let codec = C::from_header_fields(fields.get(3..).unwrap_or_default())
+        .map_err(|msg| StoreError::parse(artifact, 1, msg))?;
+    Ok((fp, codec, header.len() + 1))
+}
+
+/// The valid prefix of a journal body starting at byte `start`: every
+/// record up to the first line that fails its checksum or decode (a
+/// torn or damaged append), the byte offset where that prefix ends, and
+/// how many non-blank lines lie beyond it.
+fn scan<C: Codec>(codec: &C, text: &str, start: usize) -> (Vec<C::Record>, usize, usize) {
+    let decode = |line: &str| {
+        let (body, sum) = line.strip_suffix('\n')?.rsplit_once('\t')?;
+        if u64::from_str_radix(sum, 16).ok()? != fnv1a(body.as_bytes()) {
+            return None;
+        }
+        codec.decode(body)
+    };
+    let mut records = Vec::new();
+    let mut end = start;
+    let mut lines = text[start..].split_inclusive('\n');
+    for line in lines.by_ref() {
+        match decode(line) {
+            Some(rec) => {
+                records.push(rec);
+                end += line.len();
+            }
+            None => {
+                let first = usize::from(!line.trim().is_empty());
+                let damaged = first + lines.filter(|l| !l.trim().is_empty()).count();
+                return (records, end, damaged);
+            }
+        }
+    }
+    (records, end, 0)
+}
+
+/// The sweep checkpoint journal's line format: one `cell` line per
+/// completed grid cell, carrying `thetas` knee values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepCodec {
+    /// Knee values per cell (one per threshold).
+    pub thetas: usize,
+}
+
+impl Codec for SweepCodec {
+    type Record = (usize, Vec<f64>);
+    type Recovered = HashMap<usize, Vec<f64>>;
+    const MAGIC: &'static str = "rsg-sweep-journal";
+
+    fn header_fields(&self) -> String {
+        format!("\t{}", self.thetas)
+    }
+
+    fn from_header_fields(fields: &[&str]) -> Result<SweepCodec, &'static str> {
+        let thetas = fields.first().and_then(|s| s.parse().ok());
+        thetas
+            .map(|thetas| SweepCodec { thetas })
+            .ok_or("bad theta-count field")
+    }
+
+    /// Knees serialize in shortest-round-trip form, so a replayed value
+    /// is bit-identical to the measured one.
+    fn encode(&self, (idx, knees): &(usize, Vec<f64>)) -> String {
+        let mut body = format!("cell\t{idx}");
+        for k in knees {
+            let _ = write!(body, "\t{k}");
+        }
+        body
+    }
+
+    fn decode(&self, body: &str) -> Option<(usize, Vec<f64>)> {
+        let mut parts = body.split('\t');
+        if parts.next() != Some("cell") {
+            return None;
+        }
+        let idx: usize = parts.next()?.parse().ok()?;
+        let knees: Vec<f64> = parts.map(|s| s.parse().ok()).collect::<Option<_>>()?;
+        (knees.len() == self.thetas).then_some((idx, knees))
+    }
+}
+
+/// An append-only, self-checksummed record of completed sweep cells.
+pub type SweepJournal = LineJournal<SweepCodec>;
+
+impl LineJournal<SweepCodec> {
+    /// Opens (or creates) the journal at `path` for a sweep whose
+    /// configuration digests to `fingerprint` and measures
+    /// `thetas_len` thresholds per cell (replay rules as in
+    /// [`open_with`](Self::open_with)).
+    pub fn open(
+        path: &Path,
+        fingerprint: u64,
+        thetas_len: usize,
+    ) -> Result<SweepJournal, StoreError> {
+        let j = Self::open_with(path, fingerprint, SweepCodec { thetas: thetas_len })?;
+        OBS_CELLS_RESUMED.add(j.recovered.len() as u64);
+        Ok(j)
+    }
+
+    /// The cells recovered by replay: grid cell index → per-theta
+    /// knees, exactly as they were measured before the interruption.
+    pub fn completed(&self) -> &HashMap<usize, Vec<f64>> {
+        &self.recovered
+    }
+
+    /// Durably appends one completed cell.
+    pub fn append(&self, idx: usize, knees: &[f64]) -> Result<(), StoreError> {
+        self.append_batch(&[(idx, knees.to_vec())])?;
         OBS_CELLS_CHECKPOINTED.incr();
         Ok(())
     }
 
     /// Read-only validation of a journal file (used by `rsg store
-    /// verify`): checks magic, version and every line checksum without
-    /// truncating or quarantining anything. Returns `(fingerprint,
-    /// thetas per cell, valid cells, damaged tail lines)`.
+    /// verify`). Returns `(fingerprint, thetas per cell, valid cells,
+    /// damaged tail lines)`.
     pub fn verify(path: &Path) -> Result<(u64, usize, usize, usize), StoreError> {
-        let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read", &e))?;
-        let (header, rest) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
-            path: path.display().to_string(),
-            found: text.chars().take(40).collect(),
-        })?;
-        let fields: Vec<&str> = header.split('\t').collect();
-        if fields.first() != Some(&"rsg-sweep-journal") {
-            return Err(StoreError::BadMagic {
-                path: path.display().to_string(),
-                found: header.chars().take(40).collect(),
-            });
-        }
-        if fields.get(1) != Some(&JOURNAL_VERSION) {
-            return Err(StoreError::Version {
-                path: path.display().to_string(),
-                found: fields.get(1).unwrap_or(&"").to_string(),
-            });
-        }
-        let fp = fields
-            .get(2)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| {
-                StoreError::parse("sweep-journal", 1, "bad fingerprint field").with_path(path)
-            })?;
-        let thetas: usize = fields.get(3).and_then(|s| s.parse().ok()).ok_or_else(|| {
-            StoreError::parse("sweep-journal", 1, "bad theta-count field").with_path(path)
-        })?;
-        let mut good = 0usize;
-        let mut bad = 0usize;
-        for line in rest.split_inclusive('\n') {
-            let ok = line
-                .strip_suffix('\n')
-                .and_then(|b| Self::parse_line(b, thetas))
-                .is_some();
-            if ok && bad == 0 {
-                good += 1;
-            } else if !line.trim().is_empty() {
-                bad += 1;
-            }
-        }
-        Ok((fp, thetas, good, bad))
+        let (fp, codec, cells, damaged) = Self::inspect(path)?;
+        Ok((fp, codec.thetas, cells.len(), damaged))
+    }
+}
+
+/// The delta journal's line format: one `delta` line per sequenced
+/// [`DeltaRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaCodec;
+
+impl Codec for DeltaCodec {
+    type Record = DeltaRecord;
+    type Recovered = Vec<DeltaRecord>;
+    const MAGIC: &'static str = "rsg-delta-journal";
+
+    fn header_fields(&self) -> String {
+        String::new()
+    }
+
+    fn from_header_fields(_: &[&str]) -> Result<DeltaCodec, &'static str> {
+        Ok(DeltaCodec)
+    }
+
+    fn encode(&self, rec: &DeltaRecord) -> String {
+        format!("delta\t{}\t{}", rec.seq, rec.delta.to_tsv())
+    }
+
+    /// The sequence number must parse as `u64` — a hostile or
+    /// bit-flipped seq field classifies the line as damaged.
+    fn decode(&self, body: &str) -> Option<DeltaRecord> {
+        let (seq, delta) = body.strip_prefix("delta\t")?.split_once('\t')?;
+        Some(DeltaRecord {
+            seq: seq.parse().ok()?,
+            delta: PlatformDelta::from_tsv(delta).ok()?,
+        })
+    }
+}
+
+/// The durable transport between a platform-monitoring source and the
+/// push engine: an append-only, self-checksummed journal of
+/// [`DeltaRecord`]s.
+pub type DeltaJournal = LineJournal<DeltaCodec>;
+
+impl LineJournal<DeltaCodec> {
+    /// Opens (or creates) the journal at `path` for an engine whose
+    /// configuration digests to `fingerprint`. On
+    /// [`JournalRecovery::Resumed`], [`recovered`](Self::recovered)
+    /// holds every intact record in file order (duplicates and
+    /// reorderings included — the sequencer owns those).
+    pub fn open(path: &Path, fingerprint: u64) -> Result<DeltaJournal, StoreError> {
+        Self::open_with(path, fingerprint, DeltaCodec)
+    }
+
+    /// The records recovered by replay, in file order.
+    pub fn recovered(&self) -> &[DeltaRecord] {
+        &self.recovered
+    }
+
+    /// Durably appends one record.
+    pub fn append(&self, rec: &DeltaRecord) -> Result<(), StoreError> {
+        self.append_batch(std::slice::from_ref(rec))
+    }
+
+    /// Read-only validation of a delta journal (used by `rsg store
+    /// verify`). Returns `(fingerprint, valid records, damaged tail
+    /// lines)`.
+    pub fn verify(path: &Path) -> Result<(u64, usize, usize), StoreError> {
+        let (fp, records, damaged) = Self::read_records(path)?;
+        Ok((fp, records.len(), damaged))
+    }
+
+    /// Read-only decode of a delta journal: the header fingerprint,
+    /// every record a boot replay would recover, and the count of
+    /// damaged lines after them — the surface an offline auditor folds
+    /// from, taken from one read of the file.
+    pub fn read_records(path: &Path) -> Result<(u64, Vec<DeltaRecord>, usize), StoreError> {
+        let (fp, DeltaCodec, records, damaged) = Self::inspect(path)?;
+        Ok((fp, records, damaged))
     }
 }
 
@@ -908,63 +1046,170 @@ mod tests {
         assert_eq!(read_artifact(&path, "k").unwrap(), "v2");
     }
 
-    #[test]
-    fn journal_round_trip_and_torn_tail() {
-        let dir = tmpdir("journal");
-        let path = dir.join("sweep.journal");
+    /// The lifecycle cases every journal codec must pass.
+    #[derive(Debug, Clone, Copy)]
+    enum Case {
+        TornTail,
+        FingerprintMismatch,
+        GarbageHeader,
+        HeaderOnly,
+        FailedAppend,
+    }
+
+    /// Runs `case` on a journal of `codec` in `dir` whose first two
+    /// records are `sample(1)` and `sample(2)`.
+    fn run_case<C: Codec + Clone>(case: Case, codec: &C, sample: fn(u64) -> C::Record, dir: &Path) {
+        std::fs::create_dir_all(dir).unwrap();
+        let path = dir.join(format!("{case:?}.journal"));
+        let corrupt = dir.join(format!("{case:?}.journal.corrupt"));
         let _ = std::fs::remove_file(&path);
-        {
-            let j = SweepJournal::open(&path, 0xABCD, 2).unwrap();
-            assert_eq!(j.recovery(), JournalRecovery::Fresh);
-            j.append(3, &[1.5, 2.5]).unwrap();
-            j.append(7, &[8.0, 16.0]).unwrap();
-        }
-        // Simulate a torn append: half a line at the tail.
-        {
-            use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"cell\t9\t4.0").unwrap();
-        }
-        let j = SweepJournal::open(&path, 0xABCD, 2).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 2 });
-        assert_eq!(j.completed()[&3], vec![1.5, 2.5]);
-        assert_eq!(j.completed()[&7], vec![8.0, 16.0]);
-        // The torn bytes were truncated away; appending resumes cleanly.
-        j.append(9, &[4.0, 5.0]).unwrap();
+        let _ = std::fs::remove_file(&corrupt);
+        let open = |fp| LineJournal::<C>::open_with(&path, fp, codec.clone()).unwrap();
+        let j = open(7);
+        assert_eq!(j.recovery(), JournalRecovery::Fresh, "{case:?}");
+        j.append_batch(&[sample(1), sample(2)]).unwrap();
         drop(j);
-        let j = SweepJournal::open(&path, 0xABCD, 2).unwrap();
-        assert_eq!(j.completed().len(), 3);
-        let (fp, thetas, good, bad) = SweepJournal::verify(&path).unwrap();
-        assert_eq!((fp, thetas, good, bad), (0xABCD, 2, 3, 0));
+        let intact = std::fs::read(&path).unwrap();
+        let resumed = |records| JournalRecovery::Resumed { records };
+
+        match case {
+            Case::TornTail => {
+                // Half a record line, as a crash mid-append leaves it.
+                let body = codec.encode(&sample(3));
+                let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+                f.write_all(&body.as_bytes()[..body.len() / 2]).unwrap();
+                drop(f);
+                let (fp, _, records, damaged) = LineJournal::<C>::inspect(&path).unwrap();
+                assert_eq!((fp, records.len(), damaged), (7, 2, 1), "{case:?}");
+                let j = open(7);
+                assert_eq!(j.recovery(), resumed(2), "{case:?}");
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    intact,
+                    "{case:?}: not truncated"
+                );
+                j.append_batch(&[sample(3)]).unwrap();
+                drop(j);
+                assert_eq!(open(7).recovery(), resumed(3), "{case:?}");
+            }
+            Case::FingerprintMismatch => {
+                assert_eq!(open(8).recovery(), JournalRecovery::Quarantined);
+                assert_eq!(std::fs::read(&corrupt).unwrap(), intact, "{case:?}");
+                let (fp, _, records, _) = LineJournal::<C>::inspect(&path).unwrap();
+                assert_eq!((fp, records.len()), (8, 0), "{case:?}");
+            }
+            Case::GarbageHeader => {
+                std::fs::write(&path, "total garbage\nmore garbage\n").unwrap();
+                assert!(matches!(
+                    LineJournal::<C>::inspect(&path),
+                    Err(StoreError::BadMagic { .. })
+                ));
+                let j = open(7);
+                assert_eq!(j.recovery(), JournalRecovery::Quarantined, "{case:?}");
+                j.append_batch(&[sample(1)]).unwrap();
+                drop(j);
+                assert_eq!(open(7).recovery(), resumed(1), "{case:?}");
+            }
+            Case::HeaderOnly => {
+                let header_len = intact.iter().position(|&b| b == b'\n').unwrap() + 1;
+                std::fs::write(&path, &intact[..header_len]).unwrap();
+                assert_eq!(open(7).recovery(), JournalRecovery::Fresh, "{case:?}");
+                assert_eq!(std::fs::read(&path).unwrap(), &intact[..header_len]);
+            }
+            Case::FailedAppend => {
+                let j = open(7);
+                // A handle that refuses writes fails the append under
+                // the lock, where a full disk would.
+                *j.file.lock().unwrap() = File::open(&path).unwrap();
+                let err = j.append_batch(&[sample(3)]).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        StoreError::Io {
+                            op: "append to",
+                            ..
+                        }
+                    ),
+                    "{case:?}: {err:?}"
+                );
+                drop(j);
+                assert_eq!(std::fs::read(&path).unwrap(), intact, "{case:?}");
+                assert_eq!(open(7).recovery(), resumed(2), "{case:?}");
+            }
+        }
     }
 
     #[test]
-    fn journal_fingerprint_mismatch_quarantines() {
-        let dir = tmpdir("journal-fp");
-        let path = dir.join("sweep.journal");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(dir.join("sweep.journal.corrupt"));
-        {
-            let j = SweepJournal::open(&path, 1, 1).unwrap();
-            j.append(0, &[2.0]).unwrap();
+    fn journal_lifecycle_cases_hold_for_both_codecs() {
+        let dir = tmpdir("journal-cases");
+        for case in [
+            Case::TornTail,
+            Case::FingerprintMismatch,
+            Case::GarbageHeader,
+            Case::HeaderOnly,
+            Case::FailedAppend,
+        ] {
+            run_case(
+                case,
+                &SweepCodec { thetas: 2 },
+                |i| (i as usize, vec![i as f64 / 3.0, 2.5]),
+                &dir.join("sweep"),
+            );
+            run_case(
+                case,
+                &DeltaCodec,
+                |seq| DeltaRecord {
+                    seq,
+                    delta: PlatformDelta::PriceChange {
+                        dollars_per_hour: 0.05 * seq as f64,
+                    },
+                },
+                &dir.join("delta"),
+            );
         }
-        let j = SweepJournal::open(&path, 2, 1).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Quarantined);
-        assert!(j.completed().is_empty());
-        assert!(dir.join("sweep.journal.corrupt").exists());
     }
 
     #[test]
-    fn journal_garbage_header_quarantines() {
-        let dir = tmpdir("journal-hdr");
-        let path = dir.join("sweep.journal");
-        std::fs::write(&path, "total garbage\nmore garbage\n").unwrap();
-        let j = SweepJournal::open(&path, 5, 1).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Quarantined);
-        j.append(1, &[3.0]).unwrap();
+    fn committed_delta_journal_reopens_resumed_and_untouched() {
+        // The audit fixture journal predates the shared line journal;
+        // the format must still resume it byte-for-byte.
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/audit/clean/deltas.journal");
+        let path = tmpdir("fixture").join("deltas.journal");
+        std::fs::copy(&fixture, &path).unwrap();
+        let (fp, records, damaged) = DeltaJournal::read_records(&path).unwrap();
+        assert_eq!(damaged, 0);
+        let j = DeltaJournal::open(&path, fp).unwrap();
+        assert_eq!(
+            j.recovery(),
+            JournalRecovery::Resumed {
+                records: records.len()
+            }
+        );
+        assert_eq!(j.recovered(), &records[..]);
         drop(j);
-        let j = SweepJournal::open(&path, 5, 1).unwrap();
-        assert_eq!(j.recovery(), JournalRecovery::Resumed { cells: 1 });
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(&fixture).unwrap()
+        );
+    }
+
+    #[test]
+    fn delta_journal_rejects_hostile_lines() {
+        let dir = tmpdir("hostile");
+        let path = dir.join("deltas.journal");
+        // Valid header, hostile bodies: bad checksum, bad seq, bad TSV.
+        let header = format!("{}\tv1\t{:016x}\n", DeltaJournal::MAGIC, 0x1234);
+        for tail in [
+            "delta\t1\tprice\t0.1\t0000000000000000\n",
+            "delta\t99999999999999999999999\tprice\t0.1\tdeadbeef\n",
+            "delta\t-1\tprice\t0.1\tdeadbeef\n",
+            "garbage\n",
+        ] {
+            std::fs::write(&path, format!("{header}{tail}")).unwrap();
+            let (_, good, bad) = DeltaJournal::verify(&path).unwrap();
+            assert_eq!((good, bad), (0, 1), "{tail:?}");
+        }
     }
 
     #[test]

@@ -14,11 +14,18 @@
 //! duplicates without bookkeeping. Host arithmetic (`HostJoin` /
 //! `HostLeave`) is incremental and therefore guarded by sequence
 //! numbers upstream.
+//!
+//! That upstream guard is [`DeltaSequencer`]: the one state machine
+//! that orders a stream of [`DeltaRecord`]s onto a platform —
+//! duplicates, reorderings, gaps, conflicting redeliveries and
+//! transactional batch refusal. The push engine drives it live and
+//! `rsg audit` drives it offline, so the two agree by construction.
 
 use crate::cluster::ClusterId;
 use crate::cost::CostModel;
 use crate::generator::{MAX_CLOCK_MHZ, MIN_CLOCK_MHZ};
 use crate::platform::Platform;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Largest host count a single delta may leave a cluster with. The
@@ -285,22 +292,6 @@ impl PlatformDelta {
         Ok(())
     }
 
-    /// Pure preview: validates the delta against `platform` and returns
-    /// the state it *would* produce, without mutating either input.
-    /// This is what lets a static analyzer fold a delta stream onto a
-    /// platform with the exact semantics of [`apply`](Self::apply) —
-    /// same bounds, same errors — while the inputs stay shareable.
-    pub fn preview(
-        &self,
-        platform: &Platform,
-        cost: &CostModel,
-    ) -> Result<(Platform, CostModel), DeltaError> {
-        let mut p = platform.clone();
-        let mut c = *cost;
-        self.apply(&mut p, &mut c)?;
-        Ok((p, c))
-    }
-
     /// Whether the delta lands exactly on a physical clamp boundary
     /// (`MIN_CLOCK_MHZ` / `MAX_CLOCK_MHZ`). Such a record is *valid*,
     /// but a source that reports a clock pinned to the envelope edge is
@@ -313,6 +304,201 @@ impl PlatformDelta {
             }
             _ => false,
         }
+    }
+}
+
+/// Out-of-order records the sequencer will park before refusing more.
+/// A hostile stream of far-future sequence numbers fills this buffer
+/// and then gets rejected record-by-record — it can never exhaust
+/// memory.
+pub const MAX_PARKED: usize = 4096;
+
+/// One sequenced platform delta, as carried by the delta journal and
+/// the admin endpoint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaRecord {
+    /// Position in the delta stream; starts at 1, strictly increasing
+    /// at the source.
+    pub seq: u64,
+    /// The platform change itself.
+    pub delta: PlatformDelta,
+}
+
+/// What one [`DeltaSequencer::submit_batch`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SequenceOutcome {
+    /// Records applied to the platform (batch + drained parked).
+    pub applied: usize,
+    /// Records skipped as duplicates.
+    pub duplicates: usize,
+    /// Records parked awaiting a gap fill.
+    pub parked: usize,
+    /// Previously parked records dropped at drain time (invalid against
+    /// the state the gap fill produced), plus records refused by
+    /// parked-buffer overflow.
+    pub rejected: usize,
+    /// Whether this batch closed a pre-existing sequence gap.
+    pub resynced: bool,
+}
+
+/// The delta-sequencing state machine over a `Platform + CostModel`
+/// pair: which records apply, in what order, and which are skipped,
+/// parked or refused. Pure — no I/O, no clock, no model recompute — so
+/// the live engine and the offline audit share it.
+#[derive(Debug, Clone)]
+pub struct DeltaSequencer {
+    platform: Platform,
+    cost: CostModel,
+    pending: BTreeMap<u64, DeltaRecord>,
+    applied_seq: u64,
+    highest_seen: u64,
+}
+
+impl DeltaSequencer {
+    /// Starts at sequence zero over a base platform and cost model.
+    pub fn new(platform: Platform, cost: CostModel) -> DeltaSequencer {
+        DeltaSequencer {
+            platform,
+            cost,
+            pending: BTreeMap::new(),
+            applied_seq: 0,
+            highest_seen: 0,
+        }
+    }
+
+    /// The platform with every applied delta folded in.
+    pub fn platform(&self) -> &Platform {
+        &self.platform
+    }
+
+    /// The cost model with every applied delta folded in.
+    pub fn cost(&self) -> CostModel {
+        self.cost
+    }
+
+    /// Highest contiguously applied sequence number.
+    pub fn applied_seq(&self) -> u64 {
+        self.applied_seq
+    }
+
+    /// Highest sequence number ever *accepted* — applied or parked.
+    /// Records refused by parked-buffer overflow do not count: the
+    /// caller was told they were refused, so they must not inflate the
+    /// lag until they are actually redelivered.
+    pub fn highest_seen(&self) -> u64 {
+        self.highest_seen
+    }
+
+    /// The lowest missing sequence number, when a gap is open.
+    pub fn gap(&self) -> Option<u64> {
+        if self.pending.is_empty() {
+            None
+        } else {
+            Some(self.applied_seq + 1)
+        }
+    }
+
+    /// `highest_seen - applied_seq`: 0 means fully current.
+    pub fn lag(&self) -> u64 {
+        self.highest_seen - self.applied_seq
+    }
+
+    /// Sequences a batch of delta records transactionally.
+    ///
+    /// Classification per record, in `seq` order: `seq ≤ applied`, or
+    /// already parked with the *same* payload → duplicate, skipped
+    /// idempotently; already parked with a *different* payload → the
+    /// source is contradicting itself, and the whole batch is refused
+    /// with [`DeltaError::ConflictingSeq`] rather than silently picking
+    /// a side; contiguous with the applied prefix → applied (possibly
+    /// draining parked records behind it); future → parked (bounded by
+    /// [`MAX_PARKED`]; overflow rejects the record, never grows memory,
+    /// and does not advance `highest_seen`).
+    ///
+    /// Validation is all-or-nothing for the *incoming* records: every
+    /// delta that would apply is applied to a scratch copy of the
+    /// state, and any failure returns `Err` with no state change at
+    /// all. A *previously parked* record that turns out invalid when
+    /// its gap finally fills is dropped and its sequence number skipped
+    /// — a poisoned record must not wedge the stream forever.
+    pub fn submit_batch(&mut self, records: &[DeltaRecord]) -> Result<SequenceOutcome, DeltaError> {
+        let mut out = SequenceOutcome::default();
+        let gap_was_open = !self.pending.is_empty();
+
+        // Stage everything on scratch copies; commit only on success.
+        let mut platform = self.platform.clone();
+        let mut cost = self.cost;
+        let mut pending = self.pending.clone();
+        let mut applied_seq = self.applied_seq;
+        let mut highest_seen = self.highest_seen;
+
+        let mut incoming: Vec<DeltaRecord> = records.to_vec();
+        incoming.sort_by_key(|r| r.seq);
+
+        for rec in &incoming {
+            if rec.seq <= applied_seq {
+                out.duplicates += 1;
+                continue;
+            }
+            if let Some(parked) = pending.get(&rec.seq) {
+                if parked.delta == rec.delta {
+                    out.duplicates += 1;
+                    continue;
+                }
+                return Err(DeltaError::ConflictingSeq(rec.seq));
+            }
+            if rec.seq == applied_seq + 1 {
+                rec.delta.apply(&mut platform, &mut cost)?;
+                applied_seq = rec.seq;
+                highest_seen = highest_seen.max(rec.seq);
+                out.applied += 1;
+                // Drain parked records now contiguous. These were
+                // accepted in an earlier batch; one the gap fill made
+                // invalid is dropped rather than wedging the stream.
+                while let Some(next) = pending.remove(&(applied_seq + 1)) {
+                    match next.delta.apply(&mut platform, &mut cost) {
+                        Ok(()) => out.applied += 1,
+                        Err(_) => out.rejected += 1,
+                    }
+                    applied_seq = next.seq;
+                    highest_seen = highest_seen.max(next.seq);
+                }
+            } else if pending.len() >= MAX_PARKED {
+                out.rejected += 1;
+            } else {
+                // Structural validation only — range checks against
+                // the platform happen at drain time, once the
+                // intervening records have shaped the state.
+                pending.insert(rec.seq, *rec);
+                out.parked += 1;
+                highest_seen = highest_seen.max(rec.seq);
+            }
+        }
+
+        self.platform = platform;
+        self.cost = cost;
+        self.pending = pending;
+        self.applied_seq = applied_seq;
+        self.highest_seen = highest_seen;
+        // A resync completes when a batch drains a previously parked
+        // buffer: the gap that forced the quarantine is closed.
+        out.resynced = gap_was_open && out.applied > 0 && self.pending.is_empty();
+        Ok(out)
+    }
+
+    /// Sequences a recovered journal with the boot-replay discipline:
+    /// one record per batch, in file order, each refusal dropped and
+    /// collected as `(seq, error)` instead of poisoning the rest of the
+    /// stream.
+    pub fn replay(&mut self, records: &[DeltaRecord]) -> Vec<(u64, DeltaError)> {
+        records
+            .iter()
+            .filter_map(|rec| {
+                self.submit_batch(std::slice::from_ref(rec))
+                    .err()
+                    .map(|e| (rec.seq, e))
+            })
+            .collect()
     }
 }
 

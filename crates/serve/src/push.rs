@@ -126,14 +126,12 @@ impl PushTracker {
                 // replay. Replaying the whole file as one batch would
                 // give such a record strict batch validation and roll
                 // back *everything* — durable state silently gone.
-                let recovered: Vec<DeltaRecord> = j.recovered().to_vec();
-                let mut dropped = 0u64;
-                for rec in &recovered {
-                    if engine.submit_batch(std::slice::from_ref(rec)).is_err() {
-                        dropped += 1;
-                    }
-                }
-                OBS_REPLAY_DROPPED.add(dropped);
+                let dropped = j
+                    .recovered()
+                    .iter()
+                    .filter(|rec| engine.submit_batch(std::slice::from_ref(rec)).is_err())
+                    .count();
+                OBS_REPLAY_DROPPED.add(dropped as u64);
                 Some(j)
             }
             None => None,

@@ -1,20 +1,20 @@
-//! Differential proof that the auditor's static delta-stream fold is
-//! the real thing: `rsg_analyze::StaticFold` must agree bit-for-bit
-//! with the live [`PushEngine`] on every verdict — per-batch
-//! accept/reject, the outcome counters, the final `applied_seq` /
-//! `highest_seen`, and the folded platform itself — over seeded streams
-//! of valid, gapped, conflicting and journal-corrupted deliveries.
+//! Differential proof that the push engine commits exactly what the
+//! [`DeltaSequencer`] decides: the sequencer `rsg audit` folds delta
+//! journals with must agree bit-for-bit with the live [`PushEngine`]
+//! on every verdict — per-batch accept/reject, the outcome counters,
+//! the final `applied_seq` / `highest_seen`, and the folded platform
+//! itself — over seeded streams of valid, gapped, conflicting and
+//! journal-corrupted deliveries.
 //!
 //! If these two ever disagree, `rsg audit` would either bless a
 //! deployment the server will refuse to boot, or condemn one it would
 //! happily serve. Neither is tolerable, so this test is the contract.
 
-use rsg::analyze::{FoldOutcome, StaticFold};
 use rsg::core::curve::CurveConfig;
 use rsg::core::observation::ObservationGrid;
 use rsg::core::push::{BatchOutcome, DeltaJournal, DeltaRecord, PushEngine};
 use rsg::core::THRESHOLD_LADDER;
-use rsg::platform::delta::PlatformDelta;
+use rsg::platform::delta::{DeltaSequencer, PlatformDelta, SequenceOutcome};
 use rsg::platform::{ClusterId, CostModel, Platform, ResourceGenSpec, TopologySpec};
 
 fn platform() -> Platform {
@@ -130,7 +130,7 @@ fn distort(stream: &mut Vec<DeltaRecord>, shape: u64, state: &mut u64) {
 fn assert_outcomes_match(
     seed: u64,
     batch: usize,
-    fold: &Result<FoldOutcome, rsg::platform::delta::DeltaError>,
+    fold: &Result<SequenceOutcome, rsg::platform::delta::DeltaError>,
     real: &Result<BatchOutcome, rsg::platform::delta::DeltaError>,
 ) {
     match (fold, real) {
@@ -152,7 +152,7 @@ fn assert_outcomes_match(
     }
 }
 
-fn assert_platforms_match(seed: u64, fold: &StaticFold, eng: &PushEngine) {
+fn assert_platforms_match(seed: u64, fold: &DeltaSequencer, eng: &PushEngine) {
     assert_eq!(
         fold.applied_seq(),
         eng.staleness().applied_seq,
@@ -204,7 +204,7 @@ fn static_fold_matches_push_engine_on_hostile_streams() {
         distort(&mut stream, shape, &mut state);
 
         let mut eng = engine();
-        let mut fold = StaticFold::new(platform(), CostModel::default());
+        let mut fold = DeltaSequencer::new(platform(), CostModel::default());
         let batch_len = 1 + (splitmix(&mut state) as usize % 4);
         for (b, chunk) in stream.chunks(batch_len).enumerate() {
             let f = fold.submit_batch(chunk);
@@ -248,7 +248,7 @@ fn static_fold_matches_push_engine_through_corrupt_journal_replay() {
     assert_eq!(audited, j.recovered(), "auditor and boot replay disagree");
     assert!(damaged > 0, "the spliced record must be counted as damage");
 
-    let mut fold = StaticFold::new(platform(), CostModel::default());
+    let mut fold = DeltaSequencer::new(platform(), CostModel::default());
     let refusals = fold.replay(&audited);
     for rec in &audited {
         eng.submit_batch(std::slice::from_ref(rec)).expect("replay");

@@ -187,6 +187,15 @@ fn hostile_delta_stream_converges_to_the_from_scratch_sweep() {
     );
     assert_eq!(get("push.divergence"), 0);
 
+    // The delta journal reports through the store's counters: one
+    // fsync for the fresh header plus one per appended record, one
+    // checksum failure (the spliced record ending the replay), one
+    // replay that recovered records, nothing quarantined.
+    assert_eq!(get("core.store.fsyncs"), 1 + delivery.len() as u64);
+    assert_eq!(get("core.store.checksum_failures"), 1);
+    assert_eq!(get("core.store.journal_replays"), 1);
+    assert_eq!(get("core.store.quarantined"), 0);
+
     rsg::obs::reset();
     rsg::obs::enable(false);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,22 +1,36 @@
 //! DAG lint family (`DAG001`–`DAG005`): structural and weight checks
 //! over the *raw* decoded DAG, so a defective document yields
 //! diagnostics instead of a builder panic or a single opaque error.
+//! The checks themselves are `rsg-dag`'s one validating pass; this
+//! module only maps its defects to codes.
 
 use crate::diag::{Code, Diagnostic};
 use rsg_dag::io::RawDag;
+use rsg_dag::DagError;
 
-/// Lints one raw DAG. `subject` names the input in the diagnostics.
+/// Lints one raw DAG: maps the defects of its validating pass
+/// ([`RawDag::check`]) to diagnostics. `subject` names the input in the
+/// diagnostics.
 ///
 /// Returns the findings plus the DAG's maximum level width when the
 /// graph is valid enough to compute one (used by the cross-file
 /// `DAG005` width-vs-spec-size check).
 pub fn lint_dag(raw: &RawDag, subject: &str) -> (Vec<Diagnostic>, Option<u32>) {
+    let check = raw.check();
     let mut out = Vec::new();
     let n = raw.tasks.len();
 
     // --- DAG003: weights --------------------------------------------
+    if let Some(mhz) = check.ref_clock {
+        out.push(Diagnostic::error(
+            Code::Dag003,
+            subject,
+            format!("reference clock {mhz} MHz is not a positive finite rate"),
+        ));
+    }
+    let mut bad_tasks = check.tasks.iter().peekable();
     for (id, &cost) in raw.tasks.iter().enumerate() {
-        if cost.is_nan() || cost.is_infinite() || cost < 0.0 {
+        if bad_tasks.next_if(|&&(t, _)| t as usize == id).is_some() {
             out.push(Diagnostic::error(
                 Code::Dag003,
                 subject,
@@ -30,8 +44,9 @@ pub fn lint_dag(raw: &RawDag, subject: &str) -> (Vec<Diagnostic>, Option<u32>) {
             ));
         }
     }
-    for &(a, b, comm) in &raw.edges {
-        if comm.is_nan() || comm.is_infinite() || comm < 0.0 {
+    for &(i, defect) in &check.edges {
+        if let DagError::InvalidCost(comm) = defect {
+            let (a, b, _) = raw.edges[i];
             out.push(Diagnostic::error(
                 Code::Dag003,
                 subject,
@@ -44,46 +59,27 @@ pub fn lint_dag(raw: &RawDag, subject: &str) -> (Vec<Diagnostic>, Option<u32>) {
     if n == 0 {
         out.push(Diagnostic::error(Code::Dag002, subject, "DAG has no tasks"));
     }
-    let mut seen = std::collections::BTreeSet::new();
-    for &(a, b, _) in &raw.edges {
-        if a as usize >= n || b as usize >= n {
-            out.push(Diagnostic::error(
-                Code::Dag002,
-                subject,
-                format!("edge {a} -> {b} references an unknown task (task count {n})"),
-            ));
-            continue;
-        }
-        if a == b {
-            out.push(Diagnostic::error(
-                Code::Dag002,
-                subject,
-                format!("self edge on task {a}"),
-            ));
-            continue;
-        }
-        if !seen.insert((a, b)) {
-            out.push(Diagnostic::error(
-                Code::Dag002,
-                subject,
-                format!("duplicate edge {a} -> {b}"),
-            ));
-        }
+    for &(i, defect) in &check.edges {
+        let (a, b, _) = raw.edges[i];
+        let detail = match defect {
+            DagError::UnknownTask(_) => {
+                format!("edge {a} -> {b} references an unknown task (task count {n})")
+            }
+            DagError::SelfEdge(_) => format!("self edge on task {a}"),
+            DagError::DuplicateEdge(..) => format!("duplicate edge {a} -> {b}"),
+            _ => continue,
+        };
+        out.push(Diagnostic::error(Code::Dag002, subject, detail));
     }
 
-    // --- DAG001: cycles (Kahn over the well-formed edge subset) ------
-    let edges: Vec<(u32, u32)> = seen.into_iter().collect();
-    let width = match topo_levels(n, &edges) {
-        Some(levels) => levels.iter().map(|l| l.len() as u32).max(),
-        None => {
-            out.push(Diagnostic::error(
-                Code::Dag001,
-                subject,
-                format!("cycle among tasks {:?}", cycle_members(n, &edges)),
-            ));
-            None
-        }
-    };
+    // --- DAG001: cycles (over the well-formed edges) -----------------
+    if !check.cycle.is_empty() {
+        out.push(Diagnostic::error(
+            Code::Dag001,
+            subject,
+            format!("cycle among tasks {:?}", check.cycle),
+        ));
+    }
 
     // --- DAG004: orphan tasks ----------------------------------------
     // A task no edge touches, in a graph that otherwise *has* edges,
@@ -110,57 +106,7 @@ pub fn lint_dag(raw: &RawDag, subject: &str) -> (Vec<Diagnostic>, Option<u32>) {
         }
     }
 
-    (out, width)
-}
-
-/// Kahn topological leveling; `None` when the edge set has a cycle.
-fn topo_levels(n: usize, edges: &[(u32, u32)]) -> Option<Vec<Vec<u32>>> {
-    let mut indeg = vec![0usize; n];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        indeg[b as usize] += 1;
-        succ[a as usize].push(b);
-    }
-    let mut frontier: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
-    let mut levels = Vec::new();
-    let mut placed = 0usize;
-    while !frontier.is_empty() {
-        placed += frontier.len();
-        let mut next = Vec::new();
-        for &t in &frontier {
-            for &s in &succ[t as usize] {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    next.push(s);
-                }
-            }
-        }
-        levels.push(std::mem::replace(&mut frontier, next));
-    }
-    (placed == n).then_some(levels)
-}
-
-/// The tasks left unplaced by Kahn's algorithm — a superset of every
-/// cycle, good enough to point a human at the problem.
-fn cycle_members(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
-    let mut indeg = vec![0usize; n];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        indeg[b as usize] += 1;
-        succ[a as usize].push(b);
-    }
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] == 0).collect();
-    let mut removed = vec![false; n];
-    while let Some(t) = queue.pop() {
-        removed[t as usize] = true;
-        for &s in &succ[t as usize] {
-            indeg[s as usize] -= 1;
-            if indeg[s as usize] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    (0..n as u32).filter(|&t| !removed[t as usize]).collect()
+    (out, check.width())
 }
 
 #[cfg(test)]

@@ -134,9 +134,7 @@ pub fn analyze(inputs: &[Input], platform: Option<&Platform>) -> AnalysisReport 
                 Ok(raw) => {
                     let (diags, width) = lint_dag(&raw, subject);
                     diagnostics.extend(diags);
-                    if let Some(w) = width {
-                        max_width = Some(max_width.map_or(w, |m| m.max(w)));
-                    }
+                    max_width = max_width.max(width);
                 }
                 Err(e) => {
                     diagnostics.push(Diagnostic::error(Code::Parse004, subject, e.to_string()));

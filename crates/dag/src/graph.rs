@@ -42,8 +42,8 @@ pub struct Edge {
     pub comm: f64,
 }
 
-/// Errors reported by [`DagBuilder`].
-#[derive(Debug, Clone, PartialEq)]
+/// Errors reported by [`DagBuilder`] and [`RawDag::build`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DagError {
     /// An edge referenced a task id that was never added.
     UnknownTask(TaskId),
@@ -57,6 +57,8 @@ pub enum DagError {
     Empty,
     /// A task or edge cost was negative or non-finite.
     InvalidCost(f64),
+    /// The reference clock (MHz) was not a positive finite number.
+    InvalidRefClock(f64),
 }
 
 impl fmt::Display for DagError {
@@ -68,11 +70,264 @@ impl fmt::Display for DagError {
             DagError::Cycle => write!(f, "graph contains a cycle"),
             DagError::Empty => write!(f, "graph has no tasks"),
             DagError::InvalidCost(c) => write!(f, "invalid cost {c}"),
+            DagError::InvalidRefClock(c) => write!(f, "invalid reference clock {c} MHz"),
         }
     }
 }
 
 impl std::error::Error for DagError {}
+
+/// True for a usable task or edge cost: finite and not negative.
+fn valid_cost(c: f64) -> bool {
+    c.is_finite() && c >= 0.0
+}
+
+/// The structural defect of edge `p -> c` among `n` tasks, if any.
+fn edge_defect(n: usize, p: u32, c: u32) -> Option<DagError> {
+    if p as usize >= n {
+        Some(DagError::UnknownTask(TaskId(p)))
+    } else if c as usize >= n {
+        Some(DagError::UnknownTask(TaskId(c)))
+    } else {
+        (p == c).then_some(DagError::SelfEdge(TaskId(p)))
+    }
+}
+
+/// The parts of a DAG before any structural validation: task costs and
+/// edges exactly as given, including cycles, dangling endpoints and
+/// non-finite costs that [`RawDag::build`] rejects. The text reader
+/// ([`crate::io::read_dag_raw`]) and [`DagBuilder`] both produce one;
+/// static analysis (`rsg-analyze`) turns its [`RawDag::check`] defects
+/// into diagnostics instead of hard errors.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RawDag {
+    /// `name` directive, if present.
+    pub name: String,
+    /// `refclock` directive, if present; [`crate::REFERENCE_CLOCK_MHZ`]
+    /// otherwise.
+    pub ref_clock_mhz: Option<f64>,
+    /// Task costs by dense id (index = task id).
+    pub tasks: Vec<f64>,
+    /// `(parent, child, cost)` edges exactly as written; endpoints may
+    /// be out of range.
+    pub edges: Vec<(u32, u32, f64)>,
+}
+
+/// Every defect one validating pass over a [`RawDag`] finds, plus the
+/// child adjacency, topological order and levels that pass computes
+/// over the well-formed edges (in-range, non-self; duplicates and bad
+/// costs included).
+#[derive(Debug, Clone)]
+pub struct DagCheck {
+    /// Edge defects as `(edge index, defect)`, in edge order. An edge has
+    /// at most one of `UnknownTask`, `SelfEdge` and `DuplicateEdge` (a
+    /// repeat of an earlier pair), and `InvalidCost` when its
+    /// communication cost is negative or non-finite.
+    pub edges: Vec<(usize, DagError)>,
+    /// Tasks whose computation cost is negative or non-finite, as
+    /// `(task id, cost)` in id order.
+    pub tasks: Vec<(u32, f64)>,
+    /// Tasks Kahn's algorithm cannot place over the well-formed edges —
+    /// a superset of every cycle — in id order. Empty when acyclic.
+    pub cycle: Vec<u32>,
+    /// The reference clock, when it is not a positive finite number.
+    pub ref_clock: Option<f64>,
+    children: Csr,
+    topo: Vec<TaskId>,
+    level: Vec<u32>,
+    level_sizes: Vec<u32>,
+}
+
+impl DagCheck {
+    /// The widest level's population, when the well-formed edges are
+    /// acyclic and there is at least one task.
+    pub fn width(&self) -> Option<u32> {
+        self.level_sizes.iter().copied().max()
+    }
+
+    /// The error [`RawDag::build`] reports, with the index of the edge
+    /// it concerns: edge-level defects in edge order, then an empty
+    /// graph, a bad task cost, a duplicate edge, a cycle and a bad
+    /// reference clock.
+    pub fn first_error(&self) -> Option<(DagError, Option<usize>)> {
+        let on_edge = |dup: bool| {
+            self.edges
+                .iter()
+                .find(|(_, e)| matches!(e, DagError::DuplicateEdge(..)) == dup)
+                .map(|&(i, e)| (e, Some(i)))
+        };
+        on_edge(false)
+            .or_else(|| self.level.is_empty().then_some((DagError::Empty, None)))
+            .or_else(|| {
+                self.tasks
+                    .first()
+                    .map(|&(_, c)| (DagError::InvalidCost(c), None))
+            })
+            .or_else(|| on_edge(true))
+            .or_else(|| (!self.cycle.is_empty()).then_some((DagError::Cycle, None)))
+            .or_else(|| Some((DagError::InvalidRefClock(self.ref_clock?), None)))
+    }
+}
+
+impl RawDag {
+    /// One validating pass that records every defect instead of
+    /// stopping at the first (see [`DagCheck`]).
+    pub fn check(&self) -> DagCheck {
+        let n = self.tasks.len();
+        let mut edges = Vec::new();
+        for (i, &(p, c, w)) in self.edges.iter().enumerate() {
+            edges.extend(edge_defect(n, p, c).map(|e| (i, e)));
+            if !valid_cost(w) {
+                edges.push((i, DagError::InvalidCost(w)));
+            }
+        }
+        let well_formed = (0..self.edges.len()).filter(|&i| {
+            let (p, c, _) = self.edges[i];
+            edge_defect(n, p, c).is_none()
+        });
+        let (children, slots) = self.adjacency(well_formed, |&(p, c, _)| (p, c));
+
+        // Duplicates: a child id already stamped with the current parent.
+        let mut stamp = vec![usize::MAX; n];
+        for p in 0..n {
+            let row = children.off[p]..children.off[p + 1];
+            for (e, &i) in children.edges[row.clone()].iter().zip(&slots[row]) {
+                if stamp[e.task.index()] == p {
+                    let dup = DagError::DuplicateEdge(TaskId(p as u32), e.task);
+                    edges.push((i as usize, dup));
+                }
+                stamp[e.task.index()] = p;
+            }
+        }
+        edges.sort_by_key(|&(i, _)| i);
+
+        // Kahn's algorithm: topological order, levels (longest path in
+        // nodes from an entry node; entries are level 0, Section
+        // III.1.1) and cycle detection.
+        let mut indeg = vec![0u32; n];
+        for e in &children.edges {
+            indeg[e.task.index()] += 1;
+        }
+        let mut topo: Vec<TaskId> = (0..n as u32)
+            .map(TaskId)
+            .filter(|t| indeg[t.index()] == 0)
+            .collect();
+        let mut level = vec![0u32; n];
+        let mut head = 0;
+        while head < topo.len() {
+            let t = topo[head].index();
+            head += 1;
+            for e in children.row(t) {
+                let c = e.task.index();
+                level[c] = level[c].max(level[t] + 1);
+                indeg[c] -= 1;
+                if indeg[c] == 0 {
+                    topo.push(e.task);
+                }
+            }
+        }
+        let cycle: Vec<u32> = (0..n as u32).filter(|&t| indeg[t as usize] > 0).collect();
+        let mut level_sizes = Vec::new();
+        if cycle.is_empty() {
+            level_sizes = vec![0u32; level.iter().max().map_or(0, |&l| l as usize + 1)];
+            for &l in &level {
+                level_sizes[l as usize] += 1;
+            }
+        }
+
+        DagCheck {
+            edges,
+            tasks: (0..n as u32)
+                .map(|t| (t, self.tasks[t as usize]))
+                .filter(|&(_, c)| !valid_cost(c))
+                .collect(),
+            cycle,
+            ref_clock: self
+                .ref_clock_mhz
+                .filter(|&mhz| !(mhz.is_finite() && mhz > 0.0)),
+            children,
+            topo,
+            level,
+            level_sizes,
+        }
+    }
+
+    /// Validates the parts and builds the [`Dag`], returning the first
+    /// defect [`DagCheck::first_error`] names if any.
+    pub fn build(&self) -> Result<Dag, DagError> {
+        self.build_located().map_err(|(e, _)| e)
+    }
+
+    /// [`RawDag::build`], with the index of the edge an error concerns.
+    pub(crate) fn build_located(&self) -> Result<Dag, (DagError, Option<usize>)> {
+        let check = self.check();
+        if let Some(e) = check.first_error() {
+            return Err(e);
+        }
+        let (parents, _) = self.adjacency(0..self.edges.len(), |&(p, c, _)| (c, p));
+        Ok(Dag {
+            comp: self.tasks.clone(),
+            parents,
+            children: check.children,
+            topo: check.topo,
+            level: check.level,
+            level_sizes: check.level_sizes,
+            name: self.name.clone(),
+            ref_clock_mhz: self.ref_clock_mhz.unwrap_or(crate::REFERENCE_CLOCK_MHZ),
+            critical_path: OnceLock::new(),
+            mcp_order: OnceLock::new(),
+        })
+    }
+
+    /// Groups the edges `ids` by task with a stable counting fill, so
+    /// each task's edges keep their input order. `ends` maps an edge to
+    /// `(task, other task)`. Also returns, per slot, the index of the
+    /// edge stored there.
+    fn adjacency(
+        &self,
+        ids: impl Iterator<Item = usize> + Clone,
+        ends: impl Fn(&(u32, u32, f64)) -> (u32, u32),
+    ) -> (Csr, Vec<u32>) {
+        let n = self.tasks.len();
+        let mut off = vec![0usize; n + 1];
+        for i in ids.clone() {
+            off[ends(&self.edges[i]).0 as usize + 1] += 1;
+        }
+        for t in 0..n {
+            off[t + 1] += off[t];
+        }
+        let mut next = off[..n].to_vec();
+        let mut slots = vec![0u32; off[n]];
+        for i in ids {
+            let t = ends(&self.edges[i]).0 as usize;
+            slots[next[t]] = i as u32;
+            next[t] += 1;
+        }
+        let edges = slots
+            .iter()
+            .map(|&i| Edge {
+                task: TaskId(ends(&self.edges[i as usize]).1),
+                comm: self.edges[i as usize].2,
+            })
+            .collect();
+        (Csr { off, edges }, slots)
+    }
+}
+
+/// Flat (CSR) adjacency: the edges of task `t` are
+/// `edges[off[t]..off[t + 1]]`, in the order they were added.
+#[derive(Debug, Clone)]
+struct Csr {
+    off: Vec<usize>,
+    edges: Vec<Edge>,
+}
+
+impl Csr {
+    #[inline]
+    fn row(&self, t: usize) -> &[Edge] {
+        &self.edges[self.off[t]..self.off[t + 1]]
+    }
+}
 
 /// Incremental construction of a [`Dag`].
 ///
@@ -88,164 +343,75 @@ impl std::error::Error for DagError {}
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct DagBuilder {
-    comp: Vec<f64>,
-    edges: Vec<(TaskId, TaskId, f64)>,
-    name: String,
-    ref_clock_mhz: f64,
+    raw: RawDag,
 }
 
 impl DagBuilder {
     /// A builder with the default reference clock (1.5 GHz).
     pub fn new() -> Self {
-        DagBuilder {
-            comp: Vec::new(),
-            edges: Vec::new(),
-            name: String::new(),
-            ref_clock_mhz: crate::REFERENCE_CLOCK_MHZ,
-        }
+        Self::default()
     }
 
     /// A builder that pre-allocates for `tasks` tasks and `edges` edges.
     pub fn with_capacity(tasks: usize, edges: usize) -> Self {
         let mut b = Self::new();
-        b.comp.reserve(tasks);
-        b.edges.reserve(edges);
+        b.raw.tasks.reserve(tasks);
+        b.raw.edges.reserve(edges);
         b
     }
 
     /// Sets a human-readable name carried by the built DAG.
     pub fn name(&mut self, name: impl Into<String>) -> &mut Self {
-        self.name = name.into();
+        self.raw.name = name.into();
         self
     }
 
     /// Sets the reference CPU clock (MHz) the computational costs refer to.
     pub fn reference_clock_mhz(&mut self, mhz: f64) -> &mut Self {
-        self.ref_clock_mhz = mhz;
+        self.raw.ref_clock_mhz = Some(mhz);
         self
     }
 
     /// Adds a task with computational cost `comp` seconds (reference CPU)
     /// and returns its id.
     pub fn add_task(&mut self, comp: f64) -> TaskId {
-        let id = TaskId(self.comp.len() as u32);
-        self.comp.push(comp);
+        let id = TaskId(self.raw.tasks.len() as u32);
+        self.raw.tasks.push(comp);
         id
     }
 
     /// Adds a dependency edge `parent -> child` with communication cost
     /// `comm` seconds (reference bandwidth).
     pub fn add_edge(&mut self, parent: TaskId, child: TaskId, comm: f64) -> Result<(), DagError> {
-        let n = self.comp.len() as u32;
-        if parent.0 >= n {
-            return Err(DagError::UnknownTask(parent));
+        if let Some(e) = edge_defect(self.raw.tasks.len(), parent.0, child.0) {
+            return Err(e);
         }
-        if child.0 >= n {
-            return Err(DagError::UnknownTask(child));
-        }
-        if parent == child {
-            return Err(DagError::SelfEdge(parent));
-        }
-        if !comm.is_finite() || comm < 0.0 {
+        if !valid_cost(comm) {
             return Err(DagError::InvalidCost(comm));
         }
-        self.edges.push((parent, child, comm));
+        self.raw.edges.push((parent.0, child.0, comm));
         Ok(())
-    }
-
-    /// Number of tasks added so far.
-    pub fn task_count(&self) -> usize {
-        self.comp.len()
     }
 
     /// Validates, freezes and returns the [`Dag`].
     pub fn build(self) -> Result<Dag, DagError> {
-        let n = self.comp.len();
-        if n == 0 {
-            return Err(DagError::Empty);
-        }
-        for &c in &self.comp {
-            if !c.is_finite() || c < 0.0 {
-                return Err(DagError::InvalidCost(c));
-            }
-        }
-
-        let mut parents: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        let mut children: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        for &(p, c, w) in &self.edges {
-            if children[p.index()].iter().any(|e| e.task == c) {
-                return Err(DagError::DuplicateEdge(p, c));
-            }
-            children[p.index()].push(Edge { task: c, comm: w });
-            parents[c.index()].push(Edge { task: p, comm: w });
-        }
-
-        // Kahn's algorithm: topological order + cycle detection.
-        let mut indeg: Vec<u32> = parents.iter().map(|p| p.len() as u32).collect();
-        let mut topo: Vec<TaskId> = Vec::with_capacity(n);
-        let mut queue: Vec<TaskId> = (0..n as u32)
-            .map(TaskId)
-            .filter(|t| indeg[t.index()] == 0)
-            .collect();
-        let mut head = 0usize;
-        while head < queue.len() {
-            let t = queue[head];
-            head += 1;
-            topo.push(t);
-            for e in &children[t.index()] {
-                indeg[e.task.index()] -= 1;
-                if indeg[e.task.index()] == 0 {
-                    queue.push(e.task);
-                }
-            }
-        }
-        if topo.len() != n {
-            return Err(DagError::Cycle);
-        }
-
-        // Levels: longest path (in nodes) from an entry node; entries are
-        // level 0 (Section III.1.1).
-        let mut level: Vec<u32> = vec![0; n];
-        for &t in &topo {
-            let l = parents[t.index()]
-                .iter()
-                .map(|e| level[e.task.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            level[t.index()] = l;
-        }
-        let height = level.iter().copied().max().unwrap_or(0) + 1;
-        let mut level_sizes: Vec<u32> = vec![0; height as usize];
-        for &l in &level {
-            level_sizes[l as usize] += 1;
-        }
-
-        Ok(Dag {
-            comp: self.comp,
-            parents,
-            children,
-            topo,
-            level,
-            level_sizes,
-            name: self.name,
-            ref_clock_mhz: self.ref_clock_mhz,
-            critical_path: OnceLock::new(),
-            mcp_order: OnceLock::new(),
-        })
+        self.raw.build()
     }
 }
 
 /// An immutable weighted task graph (Section III.1.1).
 ///
-/// Schedule-invariant per-DAG quantities ([`Dag::critical_path`],
-/// [`Dag::mcp_order`]) are computed on first use and cached. A `Dag` is
-/// never mutated after [`DagBuilder::build`], so the cache cannot go
-/// stale; `Clone` carries it along.
+/// Adjacency is stored flat (CSR): one offsets array and one [`Edge`]
+/// array for parents, and the same for children, each task's edges in
+/// the order they were added. Schedule-invariant per-DAG quantities
+/// ([`Dag::critical_path`], [`Dag::mcp_order`]) are computed on first
+/// use and cached. A `Dag` is never mutated after [`DagBuilder::build`],
+/// so the cache cannot go stale; `Clone` carries it along.
 #[derive(Debug, Clone)]
 pub struct Dag {
     comp: Vec<f64>,
-    parents: Vec<Vec<Edge>>,
-    children: Vec<Vec<Edge>>,
+    parents: Csr,
+    children: Csr,
     topo: Vec<TaskId>,
     level: Vec<u32>,
     level_sizes: Vec<u32>,
@@ -270,7 +436,7 @@ impl Dag {
 
     /// Number of edges (`m`).
     pub fn edge_count(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
+        self.children.edges.len()
     }
 
     /// Human-readable name (may be empty).
@@ -298,13 +464,13 @@ impl Dag {
     /// Incoming edges of `t` (its parents).
     #[inline]
     pub fn parents(&self, t: TaskId) -> &[Edge] {
-        &self.parents[t.index()]
+        self.parents.row(t.index())
     }
 
     /// Outgoing edges of `t` (its children).
     #[inline]
     pub fn children(&self, t: TaskId) -> &[Edge] {
-        &self.children[t.index()]
+        self.children.row(t.index())
     }
 
     /// A topological order of the tasks.
@@ -482,6 +648,50 @@ mod tests {
         b.add_edge(a, c, 0.0).unwrap();
         b.add_edge(a, c, 1.0).unwrap();
         assert_eq!(b.build().unwrap_err(), DagError::DuplicateEdge(a, c));
+    }
+
+    #[test]
+    fn check_collects_every_defect_and_build_reports_the_first() {
+        use DagError::*;
+        let raw = RawDag {
+            ref_clock_mhz: Some(0.0),
+            tasks: vec![1.0, -1.0, 1.0],
+            edges: vec![
+                (0, 1, 0.5),
+                (0, 1, 0.5),
+                (1, 1, 0.5),
+                (0, 7, -2.0),
+                (2, 0, 0.1),
+                (0, 2, 0.1),
+            ],
+            ..RawDag::default()
+        };
+        let check = raw.check();
+        assert_eq!(
+            check.edges,
+            vec![
+                (1, DuplicateEdge(TaskId(0), TaskId(1))),
+                (2, SelfEdge(TaskId(1))),
+                (3, UnknownTask(TaskId(7))),
+                (3, InvalidCost(-2.0)),
+            ]
+        );
+        assert_eq!(check.tasks, vec![(1, -1.0)]);
+        assert_eq!(check.cycle, vec![0, 1, 2]);
+        assert_eq!(check.ref_clock, Some(0.0));
+        assert_eq!(check.width(), None);
+        assert_eq!(check.first_error(), Some((SelfEdge(TaskId(1)), Some(2))));
+        assert_eq!(raw.build().unwrap_err(), SelfEdge(TaskId(1)));
+    }
+
+    #[test]
+    fn bad_reference_clock_rejected() {
+        for mhz in [0.0, -1500.0, f64::INFINITY] {
+            let mut b = DagBuilder::new();
+            b.add_task(1.0);
+            b.reference_clock_mhz(mhz);
+            assert_eq!(b.build().unwrap_err(), DagError::InvalidRefClock(mhz));
+        }
     }
 
     #[test]

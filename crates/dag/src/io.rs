@@ -13,10 +13,11 @@
 //! end
 //! ```
 //!
-//! Task ids must be dense `0..n` and appear before the edges that use
-//! them. Costs are seconds (reference CPU / reference bandwidth).
+//! Task ids must be dense `0..n`; the reference clock must be a positive
+//! finite number of MHz. Costs are seconds (reference CPU / reference
+//! bandwidth).
 
-use crate::graph::{Dag, DagBuilder, TaskId};
+use crate::graph::Dag;
 use std::fmt;
 
 /// Errors from decoding the DAG text format.
@@ -36,45 +37,7 @@ impl fmt::Display for DagIoError {
 
 impl std::error::Error for DagIoError {}
 
-/// A syntactically-decoded DAG document before any structural
-/// validation: task costs and edges exactly as written, including
-/// cycles, dangling endpoints and non-finite costs that
-/// [`DagBuilder::build`] would reject. This is the input to static
-/// analysis (`rsg-analyze`), which turns structural defects into
-/// diagnostics instead of hard errors.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RawDag {
-    /// `name` directive, if present.
-    pub name: String,
-    /// `refclock` directive, if present.
-    pub ref_clock_mhz: Option<f64>,
-    /// Task costs by dense id (index = task id).
-    pub tasks: Vec<f64>,
-    /// `(parent, child, cost)` edges exactly as written; endpoints may
-    /// be out of range.
-    pub edges: Vec<(u32, u32, f64)>,
-}
-
-impl RawDag {
-    /// Validates the raw document through [`DagBuilder`], returning the
-    /// first structural error if any.
-    pub fn build(&self) -> Result<Dag, crate::graph::DagError> {
-        let mut b = DagBuilder::new();
-        if !self.name.is_empty() {
-            b.name(self.name.clone());
-        }
-        if let Some(c) = self.ref_clock_mhz {
-            b.reference_clock_mhz(c);
-        }
-        for &c in &self.tasks {
-            b.add_task(c);
-        }
-        for &(p, c, w) in &self.edges {
-            b.add_edge(TaskId(p), TaskId(c), w)?;
-        }
-        b.build()
-    }
-}
+pub use crate::graph::RawDag;
 
 /// Decodes the text format without structural validation: syntax errors
 /// (bad directives, non-numeric fields, missing `end`) still fail, but
@@ -83,10 +46,21 @@ impl RawDag {
 /// static analyzer can report them all instead of stopping at the
 /// first.
 pub fn read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
-    let err = |line: usize, msg: &str| DagIoError {
-        line,
-        msg: msg.to_string(),
-    };
+    // ASCII fast path. U+000B is the one ASCII character that
+    // `char::is_whitespace` accepts and `is_ascii_whitespace` does not,
+    // so a text holding it takes the Unicode splitter too.
+    if text.is_ascii() && !text.contains('\u{b}') {
+        parse_with(text, str::split_ascii_whitespace)
+    } else {
+        parse_with(text, str::split_whitespace)
+    }
+}
+
+/// [`read_dag_raw`], with `fields` splitting each line into fields.
+fn parse_with<'a, I: Iterator<Item = &'a str>>(
+    text: &'a str,
+    fields: impl Fn(&'a str) -> I,
+) -> Result<RawDag, DagIoError> {
     let mut lines = text.lines().enumerate();
     let (i, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
     if header.trim() != "rsg-dag v1" {
@@ -94,69 +68,64 @@ pub fn read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
     }
     let mut raw = RawDag::default();
     let mut saw_end = false;
-    for (i, line_raw) in lines {
-        let line = line_raw.trim();
-        let lno = i + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("name") => raw.name = parts.collect::<Vec<_>>().join(" "),
+    for (i, line) in lines {
+        let mut f = Fields {
+            parts: fields(line),
+            line: i + 1,
+        };
+        match f.parts.next() {
+            None => {}
+            Some(comment) if comment.starts_with('#') => {}
+            Some("name") => raw.name = f.parts.collect::<Vec<_>>().join(" "),
             Some("refclock") => {
-                let v: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "refclock needs a value"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad refclock"))?;
-                raw.ref_clock_mhz = Some(v);
+                raw.ref_clock_mhz = Some(f.next("refclock needs a value", "bad refclock")?);
             }
             Some("task") => {
-                let id: u32 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs an id"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task id"))?;
+                let id: u32 = f.next("task needs an id", "bad task id")?;
                 if id as usize != raw.tasks.len() {
-                    return Err(err(lno, "task ids must be dense and in order"));
+                    return Err(err(f.line, "task ids must be dense and in order"));
                 }
-                let comp: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs a cost"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task cost"))?;
-                raw.tasks.push(comp);
+                raw.tasks
+                    .push(f.next("task needs a cost", "bad task cost")?);
             }
             Some("edge") => {
-                let p: u32 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "edge needs a parent id"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad edge parent id"))?;
-                let c: u32 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "edge needs a child id"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad edge child id"))?;
-                let w: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "edge needs a cost"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad edge cost"))?;
+                let p = f.next("edge needs a parent id", "bad edge parent id")?;
+                let c = f.next("edge needs a child id", "bad edge child id")?;
+                let w = f.next("edge needs a cost", "bad edge cost")?;
                 raw.edges.push((p, c, w));
             }
             Some("end") => {
                 saw_end = true;
                 break;
             }
-            Some(other) => return Err(err(lno, &format!("unknown directive '{other}'"))),
-            None => unreachable!(),
+            Some(other) => return Err(err(f.line, &format!("unknown directive '{other}'"))),
         }
     }
     if !saw_end {
         return Err(err(text.lines().count(), "missing 'end'"));
     }
     Ok(raw)
+}
+
+fn err(line: usize, msg: &str) -> DagIoError {
+    DagIoError {
+        line,
+        msg: msg.to_string(),
+    }
+}
+
+/// The fields of one line, with its 1-based number for errors.
+struct Fields<I> {
+    parts: I,
+    line: usize,
+}
+
+impl<'a, I: Iterator<Item = &'a str>> Fields<I> {
+    /// The next field, parsed; `missing` or `bad` says why not.
+    fn next<T: std::str::FromStr>(&mut self, missing: &str, bad: &str) -> Result<T, DagIoError> {
+        let f = self.parts.next().ok_or_else(|| err(self.line, missing))?;
+        f.parse().map_err(|_| err(self.line, bad))
+    }
 }
 
 /// Serializes a DAG to the text format.
@@ -179,83 +148,17 @@ pub fn write_dag(dag: &Dag) -> String {
     out
 }
 
-/// Parses the text format.
+/// Parses and validates the text format. Structural errors carry the
+/// line of the edge they concern, or line 0 when they concern the
+/// whole graph.
 pub fn read_dag(text: &str) -> Result<Dag, DagIoError> {
-    let err = |line: usize, msg: &str| DagIoError {
-        line,
-        msg: msg.to_string(),
-    };
-    let mut lines = text.lines().enumerate();
-    let (i, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
-    if header.trim() != "rsg-dag v1" {
-        return Err(err(i + 1, "expected 'rsg-dag v1' header"));
-    }
-
-    let mut b = DagBuilder::new();
-    let mut next_task = 0u32;
-    let mut saw_end = false;
-    for (i, raw) in lines {
-        let line = raw.trim();
-        let lno = i + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("name") => {
-                b.name(parts.collect::<Vec<_>>().join(" "));
-            }
-            Some("refclock") => {
-                let v: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "refclock needs a value"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad refclock"))?;
-                b.reference_clock_mhz(v);
-            }
-            Some("task") => {
-                let id: u32 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs an id"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task id"))?;
-                if id != next_task {
-                    return Err(err(lno, "task ids must be dense and in order"));
-                }
-                let comp: f64 = parts
-                    .next()
-                    .ok_or_else(|| err(lno, "task needs a cost"))?
-                    .parse()
-                    .map_err(|_| err(lno, "bad task cost"))?;
-                b.add_task(comp);
-                next_task += 1;
-            }
-            Some("edge") => {
-                let mut num = |what: &str| -> Result<f64, DagIoError> {
-                    parts
-                        .next()
-                        .ok_or_else(|| err(lno, what))?
-                        .parse()
-                        .map_err(|_| err(lno, what))
-                };
-                let p = num("edge needs a parent id")? as u32;
-                let c = num("edge needs a child id")? as u32;
-                let w = num("edge needs a cost")?;
-                b.add_edge(TaskId(p), TaskId(c), w)
-                    .map_err(|e| err(lno, &e.to_string()))?;
-            }
-            Some("end") => {
-                saw_end = true;
-                break;
-            }
-            Some(other) => return Err(err(lno, &format!("unknown directive '{other}'"))),
-            None => unreachable!(),
-        }
-    }
-    if !saw_end {
-        return Err(err(text.lines().count(), "missing 'end'"));
-    }
-    b.build().map_err(|e| err(0, &e.to_string()))
+    read_dag_raw(text)?.build_located().map_err(|(e, edge)| {
+        // Edge k sits on the k-th line whose first field is `edge`.
+        let lines = (1..).zip(text.lines());
+        let mut edge_lines = lines.filter(|(_, l)| l.split_whitespace().next() == Some("edge"));
+        let line = edge.and_then(|k| edge_lines.nth(k)).map_or(0, |(n, _)| n);
+        err(line, &e.to_string())
+    })
 }
 
 /// Exports a DAG as Graphviz DOT (tasks labeled with their costs).
@@ -284,6 +187,7 @@ pub fn to_dot(dag: &Dag) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::DagBuilder;
     use crate::stats::DagStats;
 
     #[test]
@@ -328,6 +232,12 @@ mod tests {
         assert!(e.msg.contains("missing 'end'"));
         let e = read_dag("rsg-dag v1\nfrobnicate\nend\n").unwrap_err();
         assert!(e.msg.contains("unknown directive"));
+    }
+
+    #[test]
+    fn read_dag_rejects_non_integer_edge_ids() {
+        let e = read_dag("rsg-dag v1\ntask 0 5\ntask 1 6\nedge -1 1.9 0.5\nend\n").unwrap_err();
+        assert_eq!((e.line, e.msg.as_str()), (4, "bad edge parent id"));
     }
 
     #[test]

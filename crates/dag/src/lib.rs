@@ -39,7 +39,7 @@ pub mod stats;
 pub mod workflows;
 
 pub use critical::CriticalPathInfo;
-pub use graph::{Dag, DagBuilder, DagError, Edge, TaskId};
+pub use graph::{Dag, DagBuilder, DagCheck, DagError, Edge, RawDag, TaskId};
 pub use mixed::{MixedDag, ParallelProfile};
 pub use random::RandomDagSpec;
 pub use stats::DagStats;

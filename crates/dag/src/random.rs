@@ -91,7 +91,14 @@ impl RandomDagSpec {
         let h = level_sizes.len();
         debug_assert_eq!(level_sizes.iter().sum::<usize>(), n);
 
-        let mut b = DagBuilder::with_capacity(n, (n as f64 * 2.0) as usize);
+        // Parents each task of level i >= 1 draws from level i-1. It
+        // depends on the level sizes alone, so the edge count is exact.
+        let k = |i: usize| {
+            ((self.density * level_sizes[i - 1] as f64).round() as usize)
+                .clamp(1, level_sizes[i - 1])
+        };
+        let m = (1..h).map(|i| k(i) * level_sizes[i]).sum();
+        let mut b = DagBuilder::with_capacity(n, m);
         b.name(format!(
             "random(n={n},ccr={},a={},d={},r={})",
             self.ccr, self.parallelism, self.density, self.regularity
@@ -114,9 +121,8 @@ impl RandomDagSpec {
         // i-1.
         for i in 1..h {
             let prev = &levels[i - 1];
-            let k = ((self.density * prev.len() as f64).round() as usize).clamp(1, prev.len());
             for &child in &levels[i] {
-                for &parent in &sample_distinct(prev, k, rng) {
+                for &parent in &sample_distinct(prev, k(i), rng) {
                     let jitter = rng.gen_range(0.75..1.25);
                     let w_c = self.ccr * comp[parent.index()] * jitter;
                     b.add_edge(parent, child, w_c)

@@ -10,7 +10,7 @@
 //! * regularity `β = 1 − max_k |size(l_k) − τ| / τ`,
 //! * mean computational cost `ω`.
 
-use crate::graph::{Dag, TaskId};
+use crate::graph::Dag;
 
 /// Measured characteristics of a [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,11 +124,6 @@ pub fn regularity_of(level_sizes: &[u32], tau: f64) -> f64 {
         .map(|&s| (s as f64 - tau).abs())
         .fold(0.0f64, f64::max);
     1.0 - max_dev / tau
-}
-
-/// Convenience: the number of parents of `t`.
-pub fn in_degree(dag: &Dag, t: TaskId) -> usize {
-    dag.parents(t).len()
 }
 
 #[cfg(test)]

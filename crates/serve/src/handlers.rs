@@ -1471,6 +1471,23 @@ mod tests {
     }
 
     #[test]
+    fn bad_reference_clock_is_a_422() {
+        // The reference clock divides host speeds, so a zero, negative or
+        // non-finite one would silently change the answer.
+        let ctx = ctx();
+        for clock in ["0", "-1500", "NaN", "inf"] {
+            let text = format!(
+                "rsg-dag v1\nrefclock {clock}\ntask 0 1.0\ntask 1 1.0\ntask 2 1.0\n\
+                 edge 0 1 0.1\nedge 0 2 0.1\nend\n"
+            );
+            let resp = post(&ctx, "/spec", &format!("{{\"dag\": {}}}", escape(&text)));
+            assert_eq!(resp.status, 422, "refclock {clock}: {}", resp.body);
+            assert!(resp.body.contains("DAG003"), "{}", resp.body);
+            assert!(resp.body.contains("reference clock"), "{}", resp.body);
+        }
+    }
+
+    #[test]
     fn expired_deadline_is_a_504() {
         let ctx = ctx();
         let body = format!("{{\"dag\": {}, \"deadline_s\": 0.0}}", escape(&dag_text()));

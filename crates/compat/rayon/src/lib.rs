@@ -38,20 +38,36 @@ fn run_indexed<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                INSIDE_POOL.with(|b| b.store(true, Ordering::Relaxed));
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    INSIDE_POOL.with(|b| b.store(true, Ordering::Relaxed));
+                    let mut local: Vec<(usize, T)> = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        local.push((i, f(i)));
                     }
-                    local.push((i, f(i)));
-                }
-                results.lock().unwrap().append(&mut local);
-                INSIDE_POOL.with(|b| b.store(false, Ordering::Relaxed));
-            });
+                    results.lock().unwrap().append(&mut local);
+                    INSIDE_POOL.with(|b| b.store(false, Ordering::Relaxed));
+                })
+            })
+            .collect();
+        // The scope alone waits only for the closures to return; joining
+        // waits for the OS threads to exit, so the next parallel stage's
+        // threads reuse the finished ones' malloc arenas instead of
+        // opening new ones. The first worker panic is re-raised with its
+        // own payload once every worker is joined.
+        let mut panicked = None;
+        for w in workers {
+            if let Err(payload) = w.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
     });
     let mut collected = results.into_inner().unwrap();
@@ -230,6 +246,28 @@ mod tests {
             })
             .collect();
         assert_eq!(ys.iter().sum::<usize>(), (0..64usize).sum());
+    }
+
+    #[test]
+    fn worker_panic_propagates_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            (0..64usize)
+                .into_par_iter()
+                .map(|i| {
+                    assert!(i != 37, "item {i} failed");
+                    i
+                })
+                .collect::<Vec<_>>()
+        });
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert_eq!(msg, "item 37 failed");
+        // The shim still works, in order, after a panicked stage.
+        let ys: Vec<usize> = (0..300usize).into_par_iter().map(|i| i * 3).collect();
+        assert_eq!(ys, (0..300).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

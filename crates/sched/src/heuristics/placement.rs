@@ -9,34 +9,46 @@
 //! must keep that growth (it is the phenomenon under study), but the
 //! simulator's wall-clock does not have to.
 //!
-//! Under homogeneous connectivity ([`CommModel::Uniform`]) the winning
-//! host is always one of a small candidate set:
+//! Under homogeneous connectivity ([`CommModel::Uniform`]) every edge
+//! costs its reference `comm` off-host and nothing co-located, and every
+//! built DAG has finite, non-negative costs. Let `D` be the 0-floored
+//! max of the parents' off-host arrivals `finish[p] + comm`, and `h1`
+//! the host of a parent reaching it (the *critical parent*). Every host
+//! other than `h1` has data-ready time exactly `D`: a parent holder `h`
+//! only lowers its own terms (`on ≤ out ≤ D`), while the critical
+//! parent stays off-host for `h` and still arrives at `D`. Only `h1`
+//! differs; its data-ready time is the max of the off-host arrivals of
+//! parents elsewhere and the co-located arrivals of parents on `h1`.
+//! Both values come from two passes over the parents, with the naive
+//! float expressions (a 0-floored max over the same terms in any order
+//! is the identical value).
 //!
-//! * a host holding at least one parent of the task (co-location saves
-//!   the transfer; data-ready differs per such host), or
+//! The winning host is therefore one of at most `1 + classes` hosts:
+//!
+//! * `h1`, evaluated with its own data-ready time; and
 //! * per *clock class* (hosts with bit-identical clocks — hence
-//!   bit-identical speed factors, execution times and non-parent
-//!   data-ready `D`; see [`ClockClasses`]):
-//!   - the lowest-indexed host with `ready ≤ D` — it starts at `D`,
-//!     which no other non-parent host in the class can beat, and the
-//!     naive scan's strict-`<` update keeps the lowest index on ties; or
-//!   - if every host in the class is busy past `D`, the host minimizing
-//!     `(ready, index)` lexicographically.
+//!   bit-identical speed factors and execution times; see
+//!   [`ClockClasses`]), whose other members all see data-ready `D`: the
+//!   lowest-indexed host whose cost at `D` — `max(ready, D) + exec` for
+//!   MCP, the negated dynamic level for DLS — equals the class minimum.
+//!   That is the naive scan's strict-`<` first-wins pick within the
+//!   class, exactly: also where two different ready times round to the
+//!   same finish (hosts busy slightly past `D` tie with idle ones), a
+//!   collapse the tie-heavy property tests showed to be common on
+//!   multi-class RCs with integer costs. Should that winner be `h1`
+//!   itself, it still dominates its class: its own data-ready time is
+//!   at most `D`.
 //!
 //! Each class keeps its hosts (ascending index) in a min segment tree
-//! over ready times, answering both queries in `O(log P)`. Candidates
-//! are then re-evaluated with the naive tie-breaks and bit-identical
-//! float values: the naive per-host data-ready is a running max over
-//! `finish[p] + comm · factor` terms, so it is assembled in `O(1)` per
-//! candidate from per-parent-host maxima plus a top-2 "max excluding
-//! host h" decomposition (a max over any subset split recombines to the
-//! identical value). The whole query costs `O(parents + classes·log P)`
-//! instead of the naive `O(P · parents)`. The one theoretical exception:
-//! if two different ready values collapse to the same finish after the
-//! `+ exec_time` rounding, the naive scan's index tie-break could pick
-//! a host outside the candidate set. The differential property tests
-//! (`tests/fast_kernel_equiv.rs`) check for this empirically; it has
-//! not been observed.
+//! over ready times. The class minimum is the root; the winner is one
+//! root-to-leaf descent taking the left child whenever its minimum
+//! reaches the class-best cost (the cost is monotone in the ready
+//! time), `O(log P)`. The best candidate is then picked
+//! lexicographically by `(cost, host)`, the naive scan's tie-break
+//! restricted to the candidates. A query costs
+//! `O(parents + classes·log P)` instead of the naive `O(P · parents)`.
+//! The differential property tests (`tests/fast_kernel_equiv.rs`) check
+//! the equivalence bit for bit, op counts included.
 //!
 //! The kernel declines (returns `None`, callers fall back to the
 //! loop-swapped flat scan below) when connectivity is non-uniform —
@@ -45,17 +57,17 @@
 //! (e.g. continuously drawn heterogeneous clocks, where every host is
 //! its own class).
 //!
-//! All host-dimension state is struct-of-arrays and pooled: the class
-//! partition comes precomputed from the RC ([`ClockClasses`], shared by
-//! every schedule over the RC), and the segment trees and epoch-marked
-//! scan buffers are reused across schedules through the thread-local
-//! `scratch` pool, so steady-state kernel invocations
-//! allocate nothing.
+//! The class partition comes precomputed from the RC ([`ClockClasses`],
+//! shared by every schedule over the RC), and the segment trees are
+//! reused across schedules through the thread-local `scratch` pool, so
+//! steady-state kernel invocations allocate nothing. The loop-swapped
+//! fallback scan uses the same decomposition under uniform connectivity:
+//! fill `D`, then patch `h1`.
 
 use std::mem::take;
 use std::sync::Arc;
 
-use super::scratch::{self, PooledScan};
+use super::scratch;
 use crate::context::ExecutionContext;
 use crate::schedule::Schedule;
 use rsg_dag::TaskId;
@@ -100,28 +112,20 @@ impl ClassTree {
         }
     }
 
-    /// Lowest-indexed host with `ready ≤ bound`, if any.
-    fn leftmost_at_most(&self, bound: f64) -> Option<u32> {
-        if self.tree[1] > bound {
-            return None;
-        }
-        let mut node = 1usize;
-        while node < self.width {
-            node = if self.tree[2 * node] <= bound {
-                2 * node
-            } else {
-                2 * node + 1
-            };
-        }
-        Some(self.hosts[node - self.width])
+    /// The earliest ready time in the class.
+    fn min_ready(&self) -> f64 {
+        self.tree[1]
     }
 
-    /// Host minimizing `(ready, index)` lexicographically.
-    fn min_ready_host(&self) -> u32 {
+    /// Lowest-indexed host whose ready time `fits`. `fits` must hold
+    /// for [`min_ready`](Self::min_ready) and be monotone: true up to
+    /// some ready time, false beyond it (padding leaves are `+∞`).
+    fn leftmost(&self, fits: impl Fn(f64) -> bool) -> u32 {
         let mut node = 1usize;
         while node < self.width {
-            // Left preference on ties keeps the lowest host index.
-            node = if self.tree[2 * node] <= self.tree[2 * node + 1] {
+            // Descend left whenever the left subtree's minimum fits:
+            // monotonicity puts a fitting leaf there.
+            node = if fits(self.tree[2 * node]) {
                 2 * node
             } else {
                 2 * node + 1
@@ -172,6 +176,69 @@ impl TreeBank {
     }
 }
 
+/// No host: the task has no parent arriving after time 0.
+const NO_HOST: usize = usize::MAX;
+
+/// The data-ready times of one task on every host under uniform
+/// connectivity: `ready` on `host`, `d` everywhere else (see the module
+/// docs for why nothing else can differ).
+#[derive(Debug)]
+struct CriticalParent {
+    /// 0-floored max of the parents' off-host arrivals.
+    d: f64,
+    /// Host of the first parent arriving at `d`, or [`NO_HOST`].
+    host: usize,
+    /// Data-ready time on `host`.
+    ready: f64,
+}
+
+impl CriticalParent {
+    /// Two passes over `t`'s parents. `comm_factor` is exactly 1.0
+    /// off-host and 0.0 co-located under uniform connectivity, so every
+    /// arrival is bit-identical to the naive `finish + comm * factor`.
+    #[inline]
+    fn of(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule) -> CriticalParent {
+        let parents = ctx.dag.parents(t);
+        let mut d = 0.0f64;
+        let mut host = NO_HOST;
+        for e in parents {
+            let p = e.task.index();
+            let out = sched.finish[p] + e.comm * 1.0;
+            if out > d {
+                d = out;
+                host = sched.host[p] as usize;
+            }
+        }
+        if host == NO_HOST {
+            return CriticalParent { d, host, ready: d };
+        }
+        let mut ready = 0.0f64;
+        for e in parents {
+            let p = e.task.index();
+            let factor = if sched.host[p] as usize == host {
+                0.0
+            } else {
+                1.0
+            };
+            let arr = sched.finish[p] + e.comm * factor;
+            if arr > ready {
+                ready = arr;
+            }
+        }
+        CriticalParent { d, host, ready }
+    }
+
+    /// `ExecutionContext::data_ready` of the task on host `h`.
+    #[inline]
+    fn data_ready(&self, h: usize) -> f64 {
+        if h == self.host {
+            self.ready
+        } else {
+            self.d
+        }
+    }
+}
+
 /// Candidate-set placement index over one execution context.
 ///
 /// Mirror of the hosts' ready times: callers must [`update`] it
@@ -181,12 +248,6 @@ impl TreeBank {
 pub struct PlacementIndex {
     key: (u64, usize),
     bank: TreeBank,
-    scan: PooledScan,
-    /// Host with the largest off-host arrival (`u32::MAX` if none
-    /// exceeds the 0-floor), and the top two off-host arrival maxima.
-    excl_host: u32,
-    excl_v1: f64,
-    excl_v2: f64,
 }
 
 impl Drop for PlacementIndex {
@@ -220,14 +281,7 @@ impl PlacementIndex {
         OBS_FAST.incr();
         let key = (ctx.rc.uid(), hosts);
         let bank = scratch::take_bank(key).unwrap_or_else(|| TreeBank::build(classes, hosts));
-        Some(PlacementIndex {
-            key,
-            bank,
-            scan: scratch::take_scan(hosts),
-            excl_host: u32::MAX,
-            excl_v1: 0.0,
-            excl_v2: 0.0,
-        })
+        Some(PlacementIndex { key, bank })
     }
 
     /// Records a new ready time for `host`.
@@ -235,93 +289,44 @@ impl PlacementIndex {
         self.bank.update(host, ready);
     }
 
-    /// Fills the scan buffer's `cand` with the sorted candidate hosts
-    /// for placing `t`: parent holders plus per-class query winners
-    /// against the non-parent data-ready bound `D` (computed with the
-    /// same float operations as the naive scan under uniform
-    /// connectivity). Also builds the per-host arrival maxima that let
-    /// [`data_ready_fast`](Self::data_ready_fast) answer in `O(1)`.
-    fn gather_candidates(&mut self, ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule) {
-        let scan = &mut *self.scan;
-        scan.cand.clear();
-        scan.touched.clear();
-        scan.epoch += 1;
-        let epoch = scan.epoch;
-        for e in ctx.dag.parents(t) {
-            let p = e.task.index();
-            // comm_factor is exactly 1.0 off-host and 0.0 co-located:
-            // both arrivals are bit-identical to the naive
-            // `finish + comm * factor`.
-            let out = sched.finish[p] + e.comm * 1.0;
-            let on = sched.finish[p] + e.comm * 0.0;
-            let ph = sched.host[p] as usize;
-            if scan.mark[ph] != epoch {
-                scan.mark[ph] = epoch;
-                scan.on_max[ph] = on;
-                scan.out_max[ph] = out;
-                scan.touched.push(ph as u32);
-            } else {
-                if on > scan.on_max[ph] {
-                    scan.on_max[ph] = on;
-                }
-                if out > scan.out_max[ph] {
-                    scan.out_max[ph] = out;
-                }
-            }
-        }
-        // Top two per-host off-host maxima: `excl_v1` is the naive
-        // running max over every off-host arrival (0-floored like the
-        // naive fold), `excl_v2` the same excluding `excl_host`.
-        self.excl_host = u32::MAX;
-        self.excl_v1 = 0.0;
-        self.excl_v2 = 0.0;
-        for i in 0..scan.touched.len() {
-            let ph = scan.touched[i];
-            let v = scan.out_max[ph as usize];
-            if v > self.excl_v1 {
-                self.excl_v2 = self.excl_v1;
-                self.excl_v1 = v;
-                self.excl_host = ph;
-            } else if v > self.excl_v2 {
-                self.excl_v2 = v;
-            }
-        }
-        let d = self.excl_v1;
-        let scan = &mut *self.scan;
-        scan.cand.extend_from_slice(&scan.touched);
-        for class in &self.bank.trees {
-            match class.leftmost_at_most(d) {
-                // Starts exactly at D; lowest index wins the naive
-                // strict-`<` tie-break, dominating the rest of the
-                // class.
-                Some(h) => scan.cand.push(h),
-                // Whole class busy past D: earliest-ready (then lowest
-                // index) dominates.
-                None => scan.cand.push(class.min_ready_host()),
-            }
-        }
-        // Ascending order replays the naive scan's first-wins ties.
-        scan.cand.sort_unstable();
-        scan.cand.dedup();
-    }
-
-    /// The value `ExecutionContext::data_ready` would compute for the
-    /// current task on host `h`, in `O(1)`: the naive fold is a pure
-    /// 0-floored max over per-parent arrival terms, so recombining the
-    /// per-host subset maxima (excluding `h`'s own off-host terms)
-    /// yields the identical value.
+    /// The candidate minimizing `(cost, host)` lexicographically, as
+    /// `(cost, host, start)`. `cost(start, exec_time)` must be monotone
+    /// non-decreasing in `start`; it is evaluated with the same float
+    /// operations the naive scan uses.
+    ///
+    /// The candidates are the critical parent's host and, per clock
+    /// class, the lowest-indexed host whose cost (at data-ready `D`)
+    /// equals the class minimum — the naive scan's first-wins pick
+    /// within the class, exactly, even where different ready times
+    /// round to the same cost.
     #[inline]
-    fn data_ready_fast(&self, h: usize) -> f64 {
-        let mut dr = if self.excl_host == h as u32 {
-            self.excl_v2
-        } else {
-            self.excl_v1
+    fn best(
+        &self,
+        ctx: &ExecutionContext<'_>,
+        t: TaskId,
+        sched: &Schedule,
+        host_ready: &[f64],
+        cost: impl Fn(f64, f64) -> f64,
+    ) -> (f64, usize, f64) {
+        let cp = CriticalParent::of(ctx, t, sched);
+        let mut best = (f64::INFINITY, NO_HOST, 0.0f64);
+        let mut visit = |h: usize, dr: f64| {
+            let start = host_ready[h].max(dr);
+            let c = cost(start, ctx.task_time(t, h));
+            if c < best.0 || (c == best.0 && h < best.1) {
+                best = (c, h, start);
+            }
         };
-        let scan = &*self.scan;
-        if scan.mark[h] == scan.epoch && scan.on_max[h] > dr {
-            dr = scan.on_max[h];
+        if cp.host != NO_HOST {
+            visit(cp.host, cp.ready);
         }
-        dr
+        for class in &self.bank.trees {
+            let exec = ctx.task_time(t, class.hosts[0] as usize);
+            let floor = cost(class.min_ready().max(cp.d), exec);
+            let h = class.leftmost(|ready| cost(ready.max(cp.d), exec) <= floor) as usize;
+            visit(h, cp.data_ready(h));
+        }
+        best
     }
 
     /// MCP placement: the `(finish, host, start)` the naive full scan
@@ -333,21 +338,7 @@ impl PlacementIndex {
         sched: &Schedule,
         host_ready: &[f64],
     ) -> (f64, usize, f64) {
-        self.gather_candidates(ctx, t, sched);
-        let mut best_finish = f64::INFINITY;
-        let mut best_host = 0usize;
-        let mut best_start = 0.0f64;
-        for i in 0..self.scan.cand.len() {
-            let h = self.scan.cand[i] as usize;
-            let est = host_ready[h].max(self.data_ready_fast(h));
-            let fin = est + ctx.task_time(t, h);
-            if fin < best_finish {
-                best_finish = fin;
-                best_host = h;
-                best_start = est;
-            }
-        }
-        (best_finish, best_host, best_start)
+        self.best(ctx, t, sched, host_ready, |start, exec| start + exec)
     }
 
     /// DLS evaluation: the `(dynamic level, host, start)` the naive
@@ -362,17 +353,12 @@ impl PlacementIndex {
         sl: f64,
         wbar: f64,
     ) -> (f64, usize, f64) {
-        self.gather_candidates(ctx, t, sched);
-        let mut best = (f64::NEG_INFINITY, 0usize, 0.0f64);
-        for i in 0..self.scan.cand.len() {
-            let h = self.scan.cand[i] as usize;
-            let start = host_ready[h].max(self.data_ready_fast(h));
-            let dl = sl - start + (wbar - ctx.task_time(t, h));
-            if dl > best.0 {
-                best = (dl, h, start);
-            }
-        }
-        best
+        // Negation is exact, so the highest dynamic level is the lowest
+        // cost and ties compare alike.
+        let (neg_dl, h, start) = self.best(ctx, t, sched, host_ready, |start, exec| {
+            -(sl - start + (wbar - exec))
+        });
+        (-neg_dl, h, start)
     }
 }
 
@@ -383,44 +369,27 @@ pub fn fast_placement_available(ctx: &ExecutionContext<'_>) -> bool {
 }
 
 /// Fills `dr[h]` with `ExecutionContext::data_ready(t, h, …)` for every
-/// host, loop-swapped: one pass over hosts per parent instead of one
-/// pass over parents per host. The result is bit-identical — data-ready
-/// is a 0-floored max over per-(parent, host) arrival terms, every term
-/// is computed with the naive float expression, and a max over the same
-/// multiset is order-independent (all terms are non-negative, so no
-/// `-0.0`/`+0.0` ambiguity either). The per-parent inner loops are
-/// branch-free over contiguous `f64` arrays, which is what lets the
-/// compiler vectorize the fallback scan.
+/// host, bit-identically. Under uniform connectivity that is `D` on every
+/// host but the critical parent's ([`CriticalParent`]), O(P + parents).
+/// Otherwise it is loop-swapped: one pass over hosts per parent instead
+/// of one pass over parents per host — data-ready is a 0-floored max
+/// over per-(parent, host) arrival terms, every term is computed with
+/// the naive float expression, and a max over the same multiset is
+/// order-independent (all terms are non-negative, so no `-0.0`/`+0.0`
+/// ambiguity either). The per-parent inner loops are branch-free over
+/// contiguous `f64` arrays, which is what lets the compiler vectorize
+/// the fallback scan.
 fn fill_data_ready(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule, dr: &mut [f64]) {
-    for x in dr.iter_mut() {
-        *x = 0.0;
-    }
     match ctx.rc.comm_model() {
         CommModel::Uniform => {
-            for e in ctx.dag.parents(t) {
-                let p = e.task.index();
-                let fin = sched.finish[p];
-                let ph = sched.host[p] as usize;
-                // The factor is exactly 1.0 off-host and 0.0 co-located,
-                // so both arrivals are the naive `fin + comm * factor`.
-                let off = fin + e.comm * 1.0;
-                let on = fin + e.comm * 0.0;
-                for x in &mut dr[..ph] {
-                    if off > *x {
-                        *x = off;
-                    }
-                }
-                if on > dr[ph] {
-                    dr[ph] = on;
-                }
-                for x in &mut dr[ph + 1..] {
-                    if off > *x {
-                        *x = off;
-                    }
-                }
+            let cp = CriticalParent::of(ctx, t, sched);
+            dr.fill(cp.d);
+            if cp.host != NO_HOST {
+                dr[cp.host] = cp.ready;
             }
         }
         CommModel::PerHostFactor(f) => {
+            dr.fill(0.0);
             for e in ctx.dag.parents(t) {
                 let p = e.task.index();
                 let fin = sched.finish[p];
@@ -447,6 +416,7 @@ fn fill_data_ready(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule, dr: 
             k,
             factors,
         } => {
+            dr.fill(0.0);
             for e in ctx.dag.parents(t) {
                 let p = e.task.index();
                 let fin = sched.finish[p];
@@ -540,21 +510,38 @@ mod tests {
     #[test]
     fn class_tree_queries() {
         let mut t = ClassTree::new(vec![3, 5, 8, 9, 12]);
-        // All ready at 0: leftmost ≤ 0 is host 3, min-ready is host 3.
-        assert_eq!(t.leftmost_at_most(0.0), Some(3));
-        assert_eq!(t.min_ready_host(), 3);
+        // All ready at 0: the leftmost host fits.
+        assert_eq!(t.min_ready(), 0.0);
+        assert_eq!(t.leftmost(|r| r <= 0.0), 3);
         t.update(0, 10.0);
         t.update(1, 4.0);
         t.update(2, 7.0);
         t.update(3, 4.0);
         t.update(4, 0.5);
-        assert_eq!(t.leftmost_at_most(0.6), Some(12));
-        assert_eq!(t.leftmost_at_most(0.4), None);
-        assert_eq!(t.leftmost_at_most(5.0), Some(5));
-        assert_eq!(t.min_ready_host(), 12);
+        assert_eq!(t.min_ready(), 0.5);
+        assert_eq!(t.leftmost(|r| r <= 0.6), 12);
+        assert_eq!(t.leftmost(|r| r <= 5.0), 5);
         t.update(4, 100.0);
         // Tie at 4.0 between hosts 5 and 9: lowest index wins.
-        assert_eq!(t.min_ready_host(), 5);
+        assert_eq!(t.min_ready(), 4.0);
+        assert_eq!(t.leftmost(|r| r <= 4.0), 5);
+    }
+
+    #[test]
+    fn rounding_ties_keep_the_lowest_index() {
+        // Two ready times a few ulps apart that round to one finish
+        // after `+ exec`: the naive scan takes the lower index even
+        // though it starts later.
+        let early = 3.678_571_428_571_428_4f64;
+        let late = 3.678_571_428_571_429f64;
+        let exec = 0.535_714_285_714_285_7f64;
+        assert!(late > early);
+        assert_eq!((late + exec).to_bits(), (early + exec).to_bits());
+        let mut t = ClassTree::new(vec![9, 11]);
+        t.update(0, late);
+        t.update(1, early);
+        let floor = t.min_ready() + exec;
+        assert_eq!(t.leftmost(|r| r + exec <= floor), 9);
     }
 
     #[test]
@@ -613,6 +600,50 @@ mod tests {
         let (_, host, start) = idx.mcp_best(&ctx, rsg_dag::TaskId(0), &sched, &host_ready);
         assert_eq!(host, 0, "pooled bank must be reset to all-ready");
         assert_eq!(start, 0.0);
+    }
+
+    #[test]
+    fn critical_parent_decomposition_matches_naive_data_ready() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rsg_dag::RandomDagSpec;
+        let mut rng = StdRng::seed_from_u64(20);
+        for round in 0..40u64 {
+            let dag = RandomDagSpec {
+                size: 20 + 10 * (round as usize % 8),
+                ccr: [0.0, 0.5, 2.0][round as usize % 3],
+                parallelism: 0.5,
+                density: 0.2 + 0.1 * (round % 8) as f64,
+                regularity: 0.5,
+                mean_comp: 10.0,
+            }
+            .generate(round);
+            let hosts = 1 + round as usize % 9;
+            let rc = ResourceCollection::homogeneous(hosts, 1500.0);
+            let ctx = ExecutionContext::new(&dag, &rc);
+            // A random partial schedule: integer finish times on few
+            // hosts make equal arrivals, shared parent hosts and
+            // unfinished (time-0) parents common.
+            let mut sched = Schedule::with_capacity(dag.len());
+            for i in 0..dag.len() {
+                sched.host[i] = rng.gen_range(0..hosts) as u32;
+                sched.finish[i] = if rng.gen_bool(0.2) {
+                    0.0
+                } else {
+                    rng.gen_range(0..12u32) as f64
+                };
+            }
+            let mut dr = vec![f64::NAN; hosts];
+            for t in dag.tasks() {
+                let cp = CriticalParent::of(&ctx, t, &sched);
+                fill_data_ready(&ctx, t, &sched, &mut dr);
+                for (h, &flat) in dr.iter().enumerate() {
+                    let naive = ctx.data_ready(t, h, &sched.finish, &sched.host);
+                    assert_eq!(cp.data_ready(h).to_bits(), naive.to_bits(), "{t:?} on {h}");
+                    assert_eq!(flat.to_bits(), naive.to_bits(), "{t:?} on {h} (flat)");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //!
 //! A sweep evaluates the same RC at the same ladder of prefix sizes for
 //! every DAG instance of a cell, so host-dimension state (ready-time
-//! arrays, per-class segment trees, epoch-marked scan buffers, DLS
-//! candidate buckets) is taken from a thread-local pool at schedule
-//! start and returned on drop. Buffers are *reset on take* via a
+//! arrays, per-class segment trees, DLS candidate buckets) is taken
+//! from a thread-local pool at schedule start and returned on drop. Buffers are *reset on take* via a
 //! touched-host list recorded by the previous run — O(writes), not
 //! O(hosts) — which also makes the pool panic-safe: a schedule that
 //! unwinds leaves its touched list populated, and the next take resets
@@ -36,7 +35,6 @@ static OBS_RESET: rsg_obs::TimingHistogram =
 #[derive(Default)]
 struct Pool {
     ready: Option<ReadyBuf>,
-    scan: Option<ScanBuf>,
     flat: Option<Vec<f64>>,
     dls: Option<DlsBuf>,
     /// `((rc uid, hosts), bank)` — class segment trees per prefix size.
@@ -116,73 +114,6 @@ pub fn take_ready(hosts: usize) -> PooledReady {
         inner.vals.resize(hosts, 0.0);
     }
     PooledReady { inner, hosts }
-}
-
-/// Epoch-marked per-host scan buffers for the placement kernel's
-/// candidate gathering. The epoch is monotone for the thread's
-/// lifetime, so stale marks from earlier schedules never match.
-#[derive(Default)]
-pub struct ScanBuf {
-    /// `mark[h] == epoch` ⇔ `h` holds a parent of the current task.
-    pub mark: Vec<u64>,
-    /// Current query stamp.
-    pub epoch: u64,
-    /// Per parent host, max co-located arrival.
-    pub on_max: Vec<f64>,
-    /// Per parent host, max off-host arrival.
-    pub out_max: Vec<f64>,
-    /// Candidate host indices of the current query.
-    pub cand: Vec<u32>,
-    /// Parent hosts of the current task.
-    pub touched: Vec<u32>,
-}
-
-/// Pooled [`ScanBuf`], returned on drop. Dereferences to the buffer.
-pub struct PooledScan {
-    inner: ScanBuf,
-}
-
-impl Deref for PooledScan {
-    type Target = ScanBuf;
-    #[inline]
-    fn deref(&self) -> &ScanBuf {
-        &self.inner
-    }
-}
-
-impl std::ops::DerefMut for PooledScan {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut ScanBuf {
-        &mut self.inner
-    }
-}
-
-impl Drop for PooledScan {
-    fn drop(&mut self) {
-        let inner = take(&mut self.inner);
-        POOL.with(|p| p.borrow_mut().scan = Some(inner));
-    }
-}
-
-/// Takes the scan buffers, sized for `hosts`.
-pub fn take_scan(hosts: usize) -> PooledScan {
-    let inner = POOL.with(|p| p.borrow_mut().scan.take());
-    let mut inner = match inner {
-        Some(b) => {
-            OBS_HITS.incr();
-            b
-        }
-        None => {
-            OBS_BUILDS.incr();
-            ScanBuf::default()
-        }
-    };
-    if inner.mark.len() < hosts {
-        inner.mark.resize(hosts, 0);
-        inner.on_max.resize(hosts, 0.0);
-        inner.out_max.resize(hosts, 0.0);
-    }
-    PooledScan { inner }
 }
 
 /// Pooled flat data-ready array for the loop-swapped naive scan; fully

@@ -41,14 +41,75 @@ fn fast_path_rc(classes: usize, extra_hosts: usize) -> ResourceCollection {
     ResourceCollection::new(clocks, rsg::platform::CommModel::Uniform)
 }
 
+/// A DAG on which exact float ties are the norm: integer compute costs
+/// in {1, 2, 3} and communication costs in {0, 1}, so many parents
+/// arrive at the same instant, zero-cost edges make co-location free,
+/// and all parents often sit on one host. Shape 0 is a random DAG
+/// (each task takes up to three earlier tasks as parents), shape 1 a
+/// fork-join pipeline, shape 2 a bag of independent tasks.
+fn tie_heavy_dag(shape: u8, size: usize, seed: u64) -> Dag {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let comp = |rng: &mut rand::rngs::StdRng| rng.gen_range(1..4u32) as f64;
+    let mut b = DagBuilder::new();
+    match shape {
+        0 => {
+            for i in 0..size {
+                let t = b.add_task(comp(&mut rng));
+                let mut parents: Vec<usize> = Vec::new();
+                for _ in 0..rng.gen_range(0..4usize).min(i) {
+                    let p = rng.gen_range(0..i);
+                    if !parents.contains(&p) {
+                        parents.push(p);
+                        let comm = rng.gen_range(0..2u32) as f64;
+                        b.add_edge(TaskId(p as u32), t, comm).unwrap();
+                    }
+                }
+            }
+        }
+        1 => {
+            let width = 1 + size / 8;
+            let mut prev_sink = None;
+            for _ in 0..size.div_ceil(width + 2) {
+                let src = b.add_task(comp(&mut rng));
+                if let Some(ps) = prev_sink {
+                    b.add_edge(ps, src, rng.gen_range(0..2u32) as f64).unwrap();
+                }
+                let sink = b.add_task(comp(&mut rng));
+                for _ in 0..width {
+                    let w = b.add_task(comp(&mut rng));
+                    b.add_edge(src, w, rng.gen_range(0..2u32) as f64).unwrap();
+                    b.add_edge(w, sink, rng.gen_range(0..2u32) as f64).unwrap();
+                }
+                prev_sink = Some(sink);
+            }
+        }
+        _ => {
+            for _ in 0..size {
+                b.add_task(comp(&mut rng));
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
 fn assert_same_schedule(
     label: &str,
     fast: (&rsg::sched::Schedule, rsg::sched::OpCount),
     naive: (&rsg::sched::Schedule, rsg::sched::OpCount),
 ) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(fast.0.host, naive.0.host, "{label}: host placement");
-    assert_eq!(fast.0.start, naive.0.start, "{label}: start times");
-    assert_eq!(fast.0.finish, naive.0.finish, "{label}: finish times");
+    assert_eq!(
+        bits(&fast.0.start),
+        bits(&naive.0.start),
+        "{label}: start bits"
+    );
+    assert_eq!(
+        bits(&fast.0.finish),
+        bits(&naive.0.finish),
+        "{label}: finish bits"
+    );
     assert_eq!(fast.1, naive.1, "{label}: op counts");
 }
 
@@ -110,6 +171,57 @@ proptest! {
         let (d_fast, d_ops_fast) = Dls.schedule(&ctx);
         let (d_naive, d_ops_naive) = DlsNaive.schedule(&ctx);
         assert_same_schedule("DLS/declined", (&d_fast, d_ops_fast), (&d_naive, d_ops_naive));
+    }
+
+    /// Tie-heavy integer-cost DAGs on homogeneous or 2–3-class RCs: the
+    /// critical-parent candidate set must reproduce the naive scans'
+    /// first-wins tie-breaks exactly, for MCP and DLS.
+    #[test]
+    fn tie_heavy_fast_kernel_equivalent(
+        shape in 0u8..3,
+        size in 1usize..160,
+        seed in 0u64..100_000,
+        classes in 1usize..4,
+        extra_hosts in 0usize..24,
+    ) {
+        let dag = tie_heavy_dag(shape, size, seed);
+        let rc = fast_path_rc(classes, extra_hosts);
+        let ctx = ExecutionContext::new(&dag, &rc);
+        prop_assert!(fast_placement_available(&ctx));
+        let (s_fast, ops_fast) = Mcp.schedule(&ctx);
+        let (s_naive, ops_naive) = McpNaive.schedule(&ctx);
+        assert_same_schedule("MCP/ties", (&s_fast, ops_fast), (&s_naive, ops_naive));
+        let (d_fast, d_ops_fast) = Dls.schedule(&ctx);
+        let (d_naive, d_ops_naive) = DlsNaive.schedule(&ctx);
+        assert_same_schedule("DLS/ties", (&d_fast, d_ops_fast), (&d_naive, d_ops_naive));
+    }
+
+    /// Continuously heterogeneous clocks under uniform connectivity: the
+    /// kernel declines, and the flat scan's critical-parent data-ready
+    /// fill must still match the naive scans bit for bit.
+    #[test]
+    fn declined_uniform_fast_path_is_harmless(
+        spec in dag_spec_strategy(),
+        seed in 0u64..1000,
+        hosts in 1usize..40,
+        het in 0.05f64..0.6,
+        tie_shape in 0u8..4,
+    ) {
+        let dag = if tie_shape < 3 {
+            tie_heavy_dag(tie_shape, spec.size, seed)
+        } else {
+            spec.generate(seed)
+        };
+        let rc = ResourceCollection::heterogeneous(hosts, 3000.0, het, seed);
+        prop_assert_eq!(rc.comm_model(), &rsg::platform::CommModel::Uniform);
+        let ctx = ExecutionContext::new(&dag, &rc);
+        prop_assert!(!fast_placement_available(&ctx));
+        let (s_fast, ops_fast) = Mcp.schedule(&ctx);
+        let (s_naive, ops_naive) = McpNaive.schedule(&ctx);
+        assert_same_schedule("MCP/uniform", (&s_fast, ops_fast), (&s_naive, ops_naive));
+        let (d_fast, d_ops_fast) = Dls.schedule(&ctx);
+        let (d_naive, d_ops_naive) = DlsNaive.schedule(&ctx);
+        assert_same_schedule("DLS/uniform", (&d_fast, d_ops_fast), (&d_naive, d_ops_naive));
     }
 
     /// Prefix evaluation over one max-size RC ≡ a fresh reference

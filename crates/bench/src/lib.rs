@@ -1,8 +1,10 @@
 //! # rsg-bench — experiment harness shared code
 //!
-//! Experiment binaries (one per paper table/figure) live in `src/bin/`;
-//! Criterion benches in `benches/`. This library holds the shared
-//! output formatting and the fast/full experiment presets.
+//! Experiment binaries (one per paper table/figure) and the two chaos
+//! harnesses (`bench_chaos`, `serve_chaos`) live in `src/bin/`. This
+//! library holds the shared output formatting and the fast/full
+//! experiment presets. Performance is measured by `perfbench/`, not
+//! here.
 
 pub mod experiments;
 pub mod report;

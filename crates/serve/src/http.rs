@@ -3,8 +3,8 @@
 //!
 //! The server speaks `Connection: close` — one request, one response,
 //! one TCP connection. That keeps the worker pool's accounting trivial
-//! (a queued item *is* a request) and matches the closed-loop shape of
-//! `bench_serve`. Bodies are read by `Content-Length` only; chunked
+//! (a queued item *is* a request) and matches the closed-loop clients
+//! of the benchmark and the chaos harness. Bodies are read by `Content-Length` only; chunked
 //! encoding is rejected as a 400.
 //!
 //! Everything the reader accepts is bounded — header bytes

@@ -36,7 +36,7 @@
 //!   configured bound.
 //! - [`chaostcp`] is the seeded socket-level chaos harness that
 //!   drives all of the above hostile paths against a real daemon
-//!   (`bench_serve --chaos`, and the CI chaos-smoke step).
+//!   (the `serve_chaos` binary, and the CI chaos-smoke step).
 //!
 //! The wire format is documented in `docs/API.md`; running, draining,
 //! reloading and tuning a server is documented in

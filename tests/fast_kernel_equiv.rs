@@ -255,3 +255,34 @@ proptest! {
         }
     }
 }
+
+/// The kernel up the host axis: MCP and DLS on a 300-task DAG over
+/// homogeneous RCs of 10 to 10,000 hosts, where the fast path skips
+/// almost every host the naive scan visits. Schedules and op counts
+/// must still match the reference bit for bit.
+#[test]
+fn host_scaling_fast_kernel_matches_naive() {
+    let dag = RandomDagSpec {
+        size: 300,
+        ccr: 0.1,
+        parallelism: 0.6,
+        density: 0.5,
+        regularity: 0.5,
+        mean_comp: 20.0,
+    }
+    .generate(11);
+    for hosts in [10, 100, 1000, 10_000] {
+        let rc = ResourceCollection::homogeneous(hosts, 1500.0);
+        let ctx = ExecutionContext::new(&dag, &rc);
+        assert!(fast_placement_available(&ctx), "P={hosts}");
+        for kind in [HeuristicKind::Mcp, HeuristicKind::Dls] {
+            let (s_fast, ops_fast) = kind.run(&ctx);
+            let (s_naive, ops_naive) = kind.run_reference(&ctx);
+            assert_same_schedule(
+                &format!("{kind} P={hosts}"),
+                (&s_fast, ops_fast),
+                (&s_naive, ops_naive),
+            );
+        }
+    }
+}

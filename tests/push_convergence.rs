@@ -4,10 +4,10 @@
 //! from-scratch sweep of the final platform — with zero divergence
 //! found by the anti-entropy audit and zero `push.divergence` counted.
 //!
-//! This is the tier-1 version of the proof `bench_push` runs at
-//! benchmark scale: small enough for every test run, hostile enough to
-//! exercise the journal's torn-tail truncation and the
-//! quarantine-and-resync redelivery path.
+//! Small enough for every test run, hostile enough to exercise the
+//! journal's torn-tail truncation and the quarantine-and-resync
+//! redelivery path. The cells single deltas dirty are pinned by
+//! `tests/work_counters.rs`.
 
 use rsg::core::curve::CurveConfig;
 use rsg::core::observation::ObservationGrid;

@@ -2,27 +2,29 @@
 //! artifact in it by *content*, not by name.
 //!
 //! Naming conventions drift; headers do not. Every artifact family in
-//! the pipeline is self-describing — store envelopes open with
-//! `rsg-artifact`, models with `rsg-size-model`/`rsg-heur-model`, knee
-//! tables with `rsg-knee-table`, journals with their own magics, the
-//! platform file with `rsg-platform` — so the auditor sniffs the first
-//! bytes of each file and lets everything it does not recognize pass
-//! untouched (a deployment tree legitimately carries READMEs, unit
-//! files, whatever). The single naming-based rule is the spec corpus:
-//! any file under a `specs/` directory is analyzed as a spec document,
-//! because spec languages (vgDL, ClassAds) have no reserved magic.
+//! the pipeline is self-describing — models and knee tables travel in
+//! `rsg-artifact` envelopes that name their kind, journals open with
+//! their own magics ([`store::sniff`] tells these apart), the platform
+//! file with `rsg-platform` — so the auditor sniffs the first bytes of
+//! each file and lets everything it does not recognize pass untouched
+//! (a deployment tree legitimately carries READMEs, unit files,
+//! whatever; a bare model payload is not an artifact either). The
+//! single naming-based rule is the spec corpus: any file under a
+//! `specs/` directory is analyzed as a spec document, because spec
+//! languages (vgDL, ClassAds) have no reserved magic.
 
-use rsg_core::store;
+use rsg_core::persist::{HEUR_MODEL_KIND, KNEE_TABLES_KIND, SIZE_MODEL_KIND};
+use rsg_core::store::{self, StoreFormat};
 use std::path::{Path, PathBuf};
 
 /// What a classified file is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
-    /// A size prediction model (bare TSV or checksummed envelope).
+    /// A size prediction model (a `size-model` envelope).
     SizeModel,
-    /// A heuristic prediction model (bare TSV or envelope).
+    /// A heuristic prediction model (a `heur-model` envelope).
     HeurModel,
-    /// Persisted knee tables.
+    /// Persisted knee tables (a `knee-tables` envelope).
     KneeTables,
     /// A sweep checkpoint journal (possibly one shard of a set).
     SweepJournal,
@@ -114,41 +116,26 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// Classifies one file's content. Returns `None` for files the audit
 /// has no opinion about.
 fn classify_text(text: &str, in_specs: bool) -> Option<(ArtifactKind, String)> {
-    if store::looks_like_envelope(text) {
-        return Some(match store::unwrap_envelope(text) {
-            Ok((kind, payload)) => match kind {
-                rsg_core::persist::SIZE_MODEL_KIND => {
-                    (ArtifactKind::SizeModel, payload.to_string())
-                }
-                rsg_core::persist::HEUR_MODEL_KIND => {
-                    (ArtifactKind::HeurModel, payload.to_string())
-                }
-                other => (
-                    ArtifactKind::DamagedEnvelope,
-                    format!("envelope carries unknown artifact kind '{other}'"),
-                ),
-            },
-            Err(e) => (ArtifactKind::DamagedEnvelope, e.to_string()),
-        });
-    }
-    let head = text.trim_start();
-    let magic = head.split_once('\t').map(|(m, _)| m);
-    let kind = if head.starts_with("rsg-size-model\t") {
-        ArtifactKind::SizeModel
-    } else if head.starts_with("rsg-heur-model\t") {
-        ArtifactKind::HeurModel
-    } else if head.starts_with("rsg-knee-table\t") {
-        ArtifactKind::KneeTables
-    } else if magic == Some(store::SweepJournal::MAGIC) {
-        ArtifactKind::SweepJournal
-    } else if magic == Some(store::DeltaJournal::MAGIC) {
-        ArtifactKind::DeltaJournal
-    } else if head.starts_with("rsg-platform\t") {
-        ArtifactKind::PlatformFile
-    } else if in_specs {
-        ArtifactKind::Spec
-    } else {
-        return None;
+    let kind = match store::sniff(text) {
+        Some(StoreFormat::Envelope) => {
+            return Some(match store::unwrap_envelope(text) {
+                Ok((kind, payload)) => match kind {
+                    SIZE_MODEL_KIND => (ArtifactKind::SizeModel, payload.to_string()),
+                    HEUR_MODEL_KIND => (ArtifactKind::HeurModel, payload.to_string()),
+                    KNEE_TABLES_KIND => (ArtifactKind::KneeTables, payload.to_string()),
+                    other => (
+                        ArtifactKind::DamagedEnvelope,
+                        format!("envelope carries unknown artifact kind '{other}'"),
+                    ),
+                },
+                Err(e) => (ArtifactKind::DamagedEnvelope, e.to_string()),
+            })
+        }
+        Some(StoreFormat::SweepJournal) => ArtifactKind::SweepJournal,
+        Some(StoreFormat::DeltaJournal) => ArtifactKind::DeltaJournal,
+        None if text.trim_start().starts_with("rsg-platform\t") => ArtifactKind::PlatformFile,
+        None if in_specs => ArtifactKind::Spec,
+        None => return None,
     };
     Some((kind, text.to_string()))
 }
@@ -159,10 +146,13 @@ mod tests {
 
     #[test]
     fn classifies_by_magic_and_location() {
+        let model = store::wrap_envelope(SIZE_MODEL_KIND, "rsg-size-model\tv1\n");
         assert_eq!(
-            classify_text("rsg-size-model\tv1\n", false).unwrap().0,
+            classify_text(&model, false).unwrap().0,
             ArtifactKind::SizeModel
         );
+        // A bare payload is not an artifact.
+        assert!(classify_text("rsg-size-model\tv1\n", false).is_none());
         assert_eq!(
             classify_text("rsg-delta-journal\tv1\tdeadbeef\n", false)
                 .unwrap()

@@ -34,11 +34,15 @@ use crate::diag::{AnalysisReport, Code, Diagnostic, Severity};
 use crate::model_lints::{lint_heuristic_model, lint_size_model};
 use crate::{analyze, Input};
 use rsg_core::observation::{sweep_fingerprint, ObservationGrid};
+use rsg_core::persist;
 use rsg_core::push::DeltaJournal;
-use rsg_core::{CurveConfig, SweepJournal, THRESHOLD_LADDER};
+use rsg_core::{
+    CurveConfig, HeuristicPredictionModel, StoreError, SweepJournal, ThresholdedSizeModel,
+    THRESHOLD_LADDER,
+};
 use rsg_platform::delta::{DeltaError, DeltaSequencer};
 use rsg_platform::{CostModel, Platform, PlatformFile};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 static OBS_AUDITS: rsg_obs::Counter = rsg_obs::Counter::new("audit.trees");
 static OBS_AUDIT_ARTIFACTS: rsg_obs::Counter = rsg_obs::Counter::new("audit.artifacts");
@@ -96,8 +100,9 @@ pub fn audit_tree(root: &Path) -> std::io::Result<AnalysisReport> {
     }
     let base_platform = base_platform.unwrap_or_else(|| PlatformFile::serve_default().realize());
 
-    // 2. Models: the registry discovery rule must find a size model, and
-    //    every model artifact must decode and pass the MODEL lints.
+    // 2. Models: the registry discovery rule must find and load the
+    //    models, and every model artifact must decode and pass the
+    //    MODEL lints.
     diagnostics.extend(lint_models(root, &artifacts, &base_platform));
 
     // 3. Sweep journals: per-file integrity plus the shard-set
@@ -120,68 +125,44 @@ pub fn audit_tree(root: &Path) -> std::io::Result<AnalysisReport> {
 
 fn lint_models(root: &Path, artifacts: &[Artifact], platform: &Platform) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let model_dir = if root.join("models").is_dir() {
-        root.join("models")
-    } else {
-        root.to_path_buf()
-    };
-    if discoverable_size_model(&model_dir).is_none() {
+    // Boot's own discovery and load: the audit refuses exactly the
+    // trees `rsg serve --models` refuses.
+    if let Err(e) = persist::load_model_dir(root) {
+        let why = match e {
+            StoreError::Io {
+                op: persist::LOCATE_SIZE_MODEL,
+                ..
+            } => "no size model the registry can discover (size_model.tsv or size_model*.tsv)"
+                .to_string(),
+            e => format!("the discovered models do not load ({e})"),
+        };
         out.push(Diagnostic::error(
             Code::Audit001,
-            &relative_subject(root, &model_dir),
-            "no size model the registry can discover (size_model.tsv or \
-             size_model*.tsv); rsg serve --models on this tree will refuse to boot",
+            &relative_subject(root, &persist::model_dir(root)),
+            format!("{why}; rsg serve --models on this tree will refuse to boot"),
         ));
     }
     for a in artifacts {
+        let damage = |e: StoreError| Diagnostic::error(Code::Audit002, &a.subject, e.to_string());
         match a.kind {
-            ArtifactKind::SizeModel => match rsg_core::persist::load_size_model(&a.path) {
+            ArtifactKind::SizeModel => match ThresholdedSizeModel::from_tsv(&a.text) {
                 Ok(model) => out.extend(lint_size_model(&model, platform, &a.subject)),
-                Err(e) => out.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string())),
+                Err(e) => out.push(damage(e)),
             },
-            ArtifactKind::HeurModel => match rsg_core::persist::load_heuristic_model(&a.path) {
+            ArtifactKind::HeurModel => match HeuristicPredictionModel::from_tsv(&a.text) {
                 Ok(model) => out.extend(lint_heuristic_model(&model, &a.subject)),
-                Err(e) => out.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string())),
+                Err(e) => out.push(damage(e)),
             },
             ArtifactKind::KneeTables => {
-                if let Err(e) = rsg_core::persist::knee_tables_from_tsv(&a.text) {
-                    out.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string()));
-                }
+                out.extend(persist::knee_tables_from_tsv(&a.text).err().map(damage));
             }
             ArtifactKind::DamagedEnvelope => {
-                out.push(Diagnostic::error(
-                    Code::Audit002,
-                    &a.subject,
-                    a.text.clone(),
-                ));
+                out.push(Diagnostic::error(Code::Audit002, &a.subject, &a.text));
             }
             _ => {}
         }
     }
     out
-}
-
-/// Mirrors `ModelRegistry`'s size-model discovery: exact
-/// `size_model.tsv` preferred, else the lexicographically first
-/// `size_model*.tsv`.
-fn discoverable_size_model(dir: &Path) -> Option<PathBuf> {
-    let exact = dir.join("size_model.tsv");
-    if exact.is_file() {
-        return Some(exact);
-    }
-    let mut candidates: Vec<PathBuf> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_file()
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("size_model") && n.ends_with(".tsv"))
-        })
-        .collect();
-    candidates.sort();
-    candidates.into_iter().next()
 }
 
 fn lint_sweep_journals(artifacts: &[Artifact]) -> Vec<Diagnostic> {

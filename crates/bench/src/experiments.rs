@@ -232,7 +232,7 @@ pub fn observed_knee_tables(
     // re-measures; a cache problem can never fail the experiment.
     rsg_core::store::load_or_rebuild(
         &cache,
-        "knee-tables",
+        rsg_core::persist::KNEE_TABLES_KIND,
         |payload| {
             let tables = rsg_core::persist::knee_tables_from_tsv(payload)?;
             let matches = tables.len() == thetas.len()
@@ -242,7 +242,7 @@ pub fn observed_knee_tables(
                     .all(|(t, &th)| t.theta == th && t.grid == *grid);
             if !matches {
                 return Err(rsg_core::StoreError::parse(
-                    "knee-tables",
+                    rsg_core::persist::KNEE_TABLES_KIND,
                     1,
                     "cache entry does not match the requested sweep",
                 ));
@@ -284,7 +284,7 @@ pub fn trained_size_model(scale: Scale) -> (rsg_core::ThresholdedSizeModel, Curv
     ));
     let model = rsg_core::store::load_or_rebuild(
         &cache,
-        "size-model",
+        rsg_core::persist::SIZE_MODEL_KIND,
         |payload| {
             let model = rsg_core::ThresholdedSizeModel::from_tsv(payload)?;
             eprintln!(

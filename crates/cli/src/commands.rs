@@ -19,7 +19,7 @@ use rsg_sched::{
 use rsg_select::{FlakyConfig, FlakySelector, VgesFinder};
 use std::io::{Read, Write};
 
-use rsg_core::persist::{HEUR_MODEL_KIND, SIZE_MODEL_KIND};
+use rsg_core::persist::{load_size_model, HEUR_MODEL_KIND, SIZE_MODEL_KIND};
 
 fn load_dag(path: &str) -> Result<Dag, CliError> {
     let text = if path == "-" {
@@ -197,8 +197,12 @@ fn sharded_sweep(
 pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let label = args.opt("grid").unwrap_or("fast").to_string();
     let grid = grid_by_name(&label)?;
+    let file = args.opt("out");
+    // Without --out, stdout carries the artifact alone.
+    let mut err = std::io::stderr();
+    let log: &mut dyn Write = if file.is_some() { &mut *out } else { &mut err };
     writeln!(
-        out,
+        log,
         "training on {} configurations x {} instances ...",
         grid.cells(),
         grid.instances
@@ -224,8 +228,8 @@ pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             ))
         }
         (Some(n), Some(j)) => {
-            let tables = sharded_sweep(&grid, &label, j, n, out)?;
-            writeln!(out, "sweep sharded {n} ways, journals at {j}.shard*")?;
+            let tables = sharded_sweep(&grid, &label, j, n, log)?;
+            writeln!(log, "sweep sharded {n} ways, journals at {j}.shard*")?;
             tables
         }
         (None, Some(j)) => {
@@ -237,19 +241,30 @@ pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
                 0,
                 &ckpt,
             )?;
-            writeln!(out, "sweep checkpointed to {j}")?;
+            writeln!(log, "sweep checkpointed to {j}")?;
             tables
         }
         (None, None) => rsg_core::observation::measure(&grid, &cfg, &rsg_core::THRESHOLD_LADDER, 0),
     };
     let model = ThresholdedSizeModel::fit(&tables);
-    let text = model.to_tsv();
-    match args.opt("out") {
+    emit_artifact(file, SIZE_MODEL_KIND, &model.to_tsv(), "model", out)
+}
+
+/// Writes a trained artifact's envelope atomically to `path`, or to
+/// `out` — the same bytes — when no path is given.
+fn emit_artifact(
+    path: Option<&str>,
+    kind: &str,
+    payload: &str,
+    what: &str,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    match path {
         Some(p) => {
-            rsg_core::store::write_atomic(std::path::Path::new(p), SIZE_MODEL_KIND, &text)?;
-            writeln!(out, "model written to {p}")?;
+            rsg_core::store::write_atomic(std::path::Path::new(p), kind, payload)?;
+            writeln!(out, "{what} written to {p}")?;
         }
-        None => out.write_all(text.as_bytes())?,
+        None => out.write_all(rsg_core::store::wrap_envelope(kind, payload).as_bytes())?,
     }
     Ok(())
 }
@@ -286,13 +301,9 @@ pub fn train_shard(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError>
     Ok(())
 }
 
-fn load_model(path: &str) -> Result<ThresholdedSizeModel, CliError> {
-    rsg_core::persist::load_size_model(std::path::Path::new(path)).map_err(CliError::from)
-}
-
 /// `rsg predict --model FILE DAGFILE`
 pub fn predict(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model = load_model(args.require("model")?)?;
+    let model = load_size_model(std::path::Path::new(args.require("model")?))?;
     let path = args.require_positional("DAG file")?;
     let dag = load_dag(&path)?;
     let s = DagStats::measure(&dag);
@@ -321,7 +332,7 @@ pub fn spec(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     // (with one refinement round, so a single invocation exercises the
     // whole sweep → knee → fit pipeline).
     let model = match (args.opt("model"), args.opt("grid")) {
-        (Some(p), _) => load_model(p)?,
+        (Some(p), _) => load_size_model(std::path::Path::new(p))?,
         (None, Some(g)) => {
             let grid = match g {
                 "tiny" => ObservationGrid::tiny(),
@@ -569,22 +580,19 @@ pub fn train_heuristic(args: &mut Args, out: &mut dyn Write) -> Result<(), CliEr
             )))
         }
     };
+    let file = args.opt("out");
+    // Without --out, stdout carries the artifact alone.
+    let mut err = std::io::stderr();
+    let log: &mut dyn Write = if file.is_some() { &mut *out } else { &mut err };
     writeln!(
-        out,
+        log,
         "training heuristic model on {} x {} cells ...",
         training.sizes.len(),
         training.ccrs.len()
     )?;
     let model = HeuristicPredictionModel::train(&training, &CurveConfig::default());
-    let text = model.to_tsv();
-    match args.opt("out") {
-        Some(p) => {
-            rsg_core::store::write_atomic(std::path::Path::new(p), HEUR_MODEL_KIND, &text)?;
-            writeln!(out, "heuristic model written to {p}")?;
-        }
-        None => out.write_all(text.as_bytes())?,
-    }
-    Ok(())
+    let what = "heuristic model";
+    emit_artifact(file, HEUR_MODEL_KIND, &model.to_tsv(), what, out)
 }
 
 /// `rsg store verify PATH...` — read-only integrity check of persisted
@@ -665,13 +673,14 @@ fn shard_siblings(path: &str) -> Vec<String> {
     out
 }
 
-/// Verifies one file: a sweep journal or delta journal (by magic) or a
-/// store envelope.
+/// Verifies one file: a sweep journal, a delta journal or a store
+/// envelope, told apart by [`rsg_core::store::sniff`].
 fn verify_artifact(path: &str) -> Result<String, rsg_core::StoreError> {
+    use rsg_core::store::{sniff, StoreFormat};
     let p = std::path::Path::new(path);
     let text = std::fs::read_to_string(p).map_err(|e| rsg_core::StoreError::io(p, "read", &e))?;
-    let magic = text.split_once('\t').map(|(m, _)| m);
-    if magic == Some(rsg_core::SweepJournal::MAGIC) {
+    let format = sniff(&text);
+    if format == Some(StoreFormat::SweepJournal) {
         let (fp, thetas, good, bad) = rsg_core::SweepJournal::verify(p)?;
         if bad > 0 {
             return Err(rsg_core::StoreError::parse(
@@ -684,7 +693,7 @@ fn verify_artifact(path: &str) -> Result<String, rsg_core::StoreError> {
             "sweep journal, fingerprint {fp:016x}, {good} cells x {thetas} thetas"
         ));
     }
-    if magic == Some(rsg_core::DeltaJournal::MAGIC) {
+    if format == Some(StoreFormat::DeltaJournal) {
         let (fp, good, bad) = rsg_core::DeltaJournal::verify(p)?;
         if bad > 0 {
             return Err(rsg_core::StoreError::parse(

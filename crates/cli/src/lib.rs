@@ -133,6 +133,8 @@ USAGE:
               [--workers N] [--queue N] [--deadline-s S]
               [--max-staleness S] [--delta-journal FILE] [--preflight]
 
+`rsg train` and `rsg train-heuristic` write the model as a checksummed
+store envelope to --out FILE, or else to stdout (progress to stderr).
 `rsg train --journal FILE` checkpoints each completed sweep cell to
 FILE; a re-run with the same grid resumes from the first missing cell.
 `rsg train --shards N --journal BASE` partitions the sweep across N
@@ -378,10 +380,11 @@ mod tests {
         let hm = dir.join("heur.tsv");
         let model = dir.join("size.tsv");
         let dagf = dir.join("wf.dag");
-        // A custom tiny heuristic model document (hand-written) plus a
-        // tiny size model trained via the CLI.
-        std::fs::write(
+        // A custom tiny heuristic model document (hand-written, in its
+        // envelope) plus a tiny size model trained via the CLI.
+        rsg_core::store::write_atomic(
             &hm,
+            rsg_core::persist::HEUR_MODEL_KIND,
             "rsg-heur-model\tv1\nsizes\t100\nccrs\t0.1\ncell\t0\t0\tFCFS:1.0\tMCP:2.0\nend\n",
         )
         .unwrap();
@@ -542,16 +545,18 @@ mod tests {
         let e = run_err(&["predict", "--model", model_p, dagf.to_str().unwrap()]);
         assert!(matches!(e, CliError::Corrupt(_)), "{e:?}");
 
-        // A bare (legacy) model still loads after stripping the
-        // envelope header.
+        // A bare model (the envelope header stripped) is not an
+        // artifact: it is refused as corrupt (4), not loaded.
         let payload = good.split_once('\n').unwrap().1;
         std::fs::write(&model, payload).unwrap();
-        let p = run_ok(&["predict", "--model", model_p, dagf.to_str().unwrap()]);
-        assert!(p.contains("threshold"));
+        let e = run_err(&["predict", "--model", model_p, dagf.to_str().unwrap()]);
+        assert!(matches!(e, CliError::Corrupt(_)), "{e:?}");
+        assert_eq!(e.exit_code(), 4);
 
-        // But a legacy file that is garbage is a decode error (5), and
-        // a missing file an I/O error (3).
-        std::fs::write(&model, "rsg-size-model\tv1\ntheta\tnonsense\n").unwrap();
+        // An intact envelope around a garbage payload is a decode
+        // error (5), and a missing file an I/O error (3).
+        let garbage = "rsg-size-model\tv1\ntheta\tnonsense\n";
+        rsg_core::store::write_atomic(&model, rsg_core::persist::SIZE_MODEL_KIND, garbage).unwrap();
         let e = run_err(&["predict", "--model", model_p, dagf.to_str().unwrap()]);
         assert!(matches!(e, CliError::Decode(_)), "{e:?}");
         assert_eq!(e.exit_code(), 5);

@@ -2,7 +2,7 @@
 //! models, so a model trained once (hours at paper scale) can be
 //! reused across sessions and shipped alongside the library.
 //!
-//! Format, line-oriented:
+//! Payload format, line-oriented:
 //!
 //! ```text
 //! rsg-size-model<TAB>v1
@@ -19,18 +19,20 @@
 //! Decoding never trusts its input: every failure is a typed
 //! [`StoreError`] carrying the artifact family and the 1-based line
 //! number of the offending line — never a panic, and never a silently
-//! misplaced value (cell indices are bounds-checked per axis). On-disk
-//! artifacts additionally travel inside the checksummed envelope of
-//! [`crate::store`], which catches byte-level damage before these
-//! decoders ever run.
+//! misplaced value (cell indices are bounds-checked per axis).
+//!
+//! On disk a payload only ever travels inside the checksummed
+//! `rsg-artifact` envelope of [`crate::store`], tagged with its kind
+//! ([`SIZE_MODEL_KIND`], [`HEUR_MODEL_KIND`], [`KNEE_TABLES_KIND`]);
+//! byte-level damage is caught before these decoders ever run. A bare
+//! payload file is not an artifact and no loader accepts it.
+//! [`load_model_dir`] is the one rule that finds a deployment's models.
 
+use crate::heurmodel::HeuristicPredictionModel;
 use crate::planefit::PlaneFit;
 use crate::sizemodel::{SizePredictionModel, ThresholdedSizeModel};
-use crate::store::StoreError;
-
-/// Errors from decoding persisted models — an alias for the store-wide
-/// typed taxonomy (the historical name, kept for callers).
-pub type PersistError = StoreError;
+use crate::store::{read_artifact, StoreError};
+use std::path::{Path, PathBuf};
 
 impl SizePredictionModel {
     /// Serializes the model.
@@ -62,7 +64,7 @@ impl SizePredictionModel {
     /// and the number of lines consumed. Parse errors report 1-based
     /// line numbers relative to the start of the slice.
     pub fn from_tsv_lines(lines: &[&str]) -> Result<(SizePredictionModel, usize), StoreError> {
-        const ART: &str = "size-model";
+        const ART: &str = SIZE_MODEL_KIND;
         let mut i = 0usize;
         let next = |i: &mut usize| -> Result<&str, StoreError> {
             let l = lines
@@ -196,7 +198,7 @@ impl ThresholdedSizeModel {
     }
 }
 
-impl crate::heurmodel::HeuristicPredictionModel {
+impl HeuristicPredictionModel {
     /// Serializes the heuristic model:
     ///
     /// ```text
@@ -233,10 +235,10 @@ impl crate::heurmodel::HeuristicPredictionModel {
     }
 
     /// Decodes a heuristic-model document.
-    pub fn from_tsv(text: &str) -> Result<crate::heurmodel::HeuristicPredictionModel, StoreError> {
+    pub fn from_tsv(text: &str) -> Result<HeuristicPredictionModel, StoreError> {
         use crate::heurmodel::CellResult;
         use rsg_sched::HeuristicKind;
-        const ART: &str = "heur-model";
+        const ART: &str = HEUR_MODEL_KIND;
         let mut lines = text.lines();
         let header = lines
             .next()
@@ -325,7 +327,7 @@ impl crate::heurmodel::HeuristicPredictionModel {
         }
         let cells: Option<Vec<CellResult>> = cells.into_iter().collect();
         let cells = cells.ok_or_else(|| StoreError::parse(ART, 1, "missing cells"))?;
-        Ok(crate::heurmodel::HeuristicPredictionModel { sizes, ccrs, cells })
+        Ok(HeuristicPredictionModel { sizes, ccrs, cells })
     }
 }
 
@@ -497,40 +499,88 @@ pub const SIZE_MODEL_KIND: &str = "size-model";
 /// (`rsg train-heuristic --out`).
 pub const HEUR_MODEL_KIND: &str = "heur-model";
 
-/// Reads a possibly envelope-wrapped artifact file. A bare (legacy)
-/// file is returned as-is; a wrapped one is checksum-verified and must
-/// carry the expected `kind`. This is the single on-disk read path for
-/// trained models, shared by the CLI and the serving registry.
-pub fn read_model_payload(path: &std::path::Path, kind: &str) -> Result<String, StoreError> {
-    let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, "read model", &e))?;
-    if !crate::store::looks_like_envelope(&text) {
-        return Ok(text);
-    }
-    let (found, payload) = crate::store::unwrap_envelope(&text).map_err(|e| e.with_path(path))?;
-    if found != kind {
-        return Err(StoreError::Kind {
-            path: path.display().to_string(),
-            expected: kind.to_string(),
-            found: found.to_string(),
-        });
-    }
-    Ok(payload.to_string())
+/// Artifact kind recorded in knee-table envelopes (the experiment
+/// sweep cache).
+pub const KNEE_TABLES_KIND: &str = "knee-tables";
+
+/// Loads a [`ThresholdedSizeModel`] from its envelope on disk.
+pub fn load_size_model(path: &Path) -> Result<ThresholdedSizeModel, StoreError> {
+    ThresholdedSizeModel::from_tsv(&read_artifact(path, SIZE_MODEL_KIND)?)
 }
 
-/// Loads a [`ThresholdedSizeModel`] from disk, verifying the store
-/// envelope when present.
-pub fn load_size_model(path: &std::path::Path) -> Result<ThresholdedSizeModel, StoreError> {
-    let payload = read_model_payload(path, SIZE_MODEL_KIND)?;
-    ThresholdedSizeModel::from_tsv(&payload)
+/// Loads a [`HeuristicPredictionModel`] from its envelope on disk.
+pub fn load_heuristic_model(path: &Path) -> Result<HeuristicPredictionModel, StoreError> {
+    HeuristicPredictionModel::from_tsv(&read_artifact(path, HEUR_MODEL_KIND)?)
 }
 
-/// Loads a [`crate::heurmodel::HeuristicPredictionModel`] from disk,
-/// verifying the store envelope when present.
-pub fn load_heuristic_model(
-    path: &std::path::Path,
-) -> Result<crate::heurmodel::HeuristicPredictionModel, StoreError> {
-    let payload = read_model_payload(path, HEUR_MODEL_KIND)?;
-    crate::heurmodel::HeuristicPredictionModel::from_tsv(&payload)
+/// The `op` of the [`StoreError::Io`] that [`load_model_dir`] returns
+/// when the directory holds no size model.
+pub const LOCATE_SIZE_MODEL: &str = "locate size model";
+
+/// The models a model directory ships, each with the file it was
+/// loaded from.
+#[derive(Debug, Clone)]
+pub struct ModelDir {
+    /// The size model.
+    pub size_model: (ThresholdedSizeModel, PathBuf),
+    /// The heuristic model, when the directory ships one.
+    pub heuristic_model: Option<(HeuristicPredictionModel, PathBuf)>,
+}
+
+/// Where [`load_model_dir`] looks: `dir/models` when that is a
+/// directory (a whole deployment tree), else `dir` itself.
+pub fn model_dir(dir: &Path) -> PathBuf {
+    let models = dir.join("models");
+    if models.is_dir() {
+        models
+    } else {
+        dir.to_path_buf()
+    }
+}
+
+/// Finds and loads the models of a model directory or deployment tree
+/// — the one discovery rule, shared by the serving registry and
+/// `rsg audit`.
+///
+/// In [`model_dir`]`(dir)`, the size model is the regular file
+/// `size_model.tsv`, else the lexicographically first regular file
+/// matching `size_model*.tsv`; it is required. The heuristic model
+/// (`heur_model.tsv`, else the first `heur_model*.tsv`) is optional.
+/// Each must be an `rsg-artifact` envelope of the right kind.
+pub fn load_model_dir(dir: &Path) -> Result<ModelDir, StoreError> {
+    let dir = model_dir(dir);
+    let size_path = find_model_file(&dir, "size_model")?.ok_or_else(|| {
+        let e = std::io::Error::other("no size_model*.tsv in the model directory");
+        StoreError::io(&dir, LOCATE_SIZE_MODEL, &e)
+    })?;
+    let size_model = (load_size_model(&size_path)?, size_path);
+    let heuristic_model = match find_model_file(&dir, "heur_model")? {
+        Some(p) => Some((load_heuristic_model(&p)?, p)),
+        None => None,
+    };
+    Ok(ModelDir {
+        size_model,
+        heuristic_model,
+    })
+}
+
+/// `<stem>.tsv` when it is a regular file, else the lexicographically
+/// first regular file `<stem>*.tsv`.
+fn find_model_file(dir: &Path, stem: &str) -> Result<Option<PathBuf>, StoreError> {
+    let list_err = |e| StoreError::io(dir, "list models", &e);
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(list_err)? {
+        let path = entry.map_err(list_err)?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.starts_with(stem) && name.ends_with(".tsv") && path.is_file() {
+            found.push(path);
+        }
+    }
+    let exact = dir.join(format!("{stem}.tsv"));
+    if found.contains(&exact) {
+        return Ok(Some(exact));
+    }
+    Ok(found.into_iter().min())
 }
 
 #[cfg(test)]

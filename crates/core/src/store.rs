@@ -56,6 +56,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+/// The magic that opens every envelope header.
+const ENVELOPE_MAGIC: &str = "rsg-artifact";
 /// Envelope-format version written by this crate.
 pub const ENVELOPE_VERSION: &str = "v1";
 /// Journal-format version written by this crate (both kinds).
@@ -354,7 +356,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Wraps a payload in a versioned, checksummed envelope.
 pub fn wrap_envelope(kind: &str, payload: &str) -> String {
     format!(
-        "rsg-artifact\t{ENVELOPE_VERSION}\t{kind}\t{}\t{:016x}\n{payload}",
+        "{ENVELOPE_MAGIC}\t{ENVELOPE_VERSION}\t{kind}\t{}\t{:016x}\n{payload}",
         payload.len(),
         fnv1a(payload.as_bytes())
     )
@@ -365,16 +367,14 @@ pub fn wrap_envelope(kind: &str, payload: &str) -> String {
 /// [`StoreError::with_path`].
 pub fn unwrap_envelope(text: &str) -> Result<(&str, &str), StoreError> {
     let nopath = String::new;
-    let (header, payload) = text.split_once('\n').ok_or_else(|| StoreError::BadMagic {
+    let bad_magic = |found: &str| StoreError::BadMagic {
         path: nopath(),
-        found: text.chars().take(40).collect(),
-    })?;
+        found: found.chars().take(40).collect(),
+    };
+    let (header, payload) = text.split_once('\n').ok_or_else(|| bad_magic(text))?;
     let fields: Vec<&str> = header.split('\t').collect();
-    if fields.first() != Some(&"rsg-artifact") {
-        return Err(StoreError::BadMagic {
-            path: nopath(),
-            found: header.chars().take(40).collect(),
-        });
+    if fields.first() != Some(&ENVELOPE_MAGIC) {
+        return Err(bad_magic(header));
     }
     if fields.get(1) != Some(&ENVELOPE_VERSION) {
         return Err(StoreError::Version {
@@ -383,19 +383,10 @@ pub fn unwrap_envelope(text: &str) -> Result<(&str, &str), StoreError> {
         });
     }
     let &[kind, len, sum] = &fields[2..] else {
-        return Err(StoreError::BadMagic {
-            path: nopath(),
-            found: header.chars().take(40).collect(),
-        });
+        return Err(bad_magic(header));
     };
-    let expected_len: usize = len.parse().map_err(|_| StoreError::BadMagic {
-        path: nopath(),
-        found: header.chars().take(40).collect(),
-    })?;
-    let expected_sum = u64::from_str_radix(sum, 16).map_err(|_| StoreError::BadMagic {
-        path: nopath(),
-        found: header.chars().take(40).collect(),
-    })?;
+    let expected_len: usize = len.parse().map_err(|_| bad_magic(header))?;
+    let expected_sum = u64::from_str_radix(sum, 16).map_err(|_| bad_magic(header))?;
     if payload.len() != expected_len {
         return Err(StoreError::Truncated {
             path: nopath(),
@@ -415,10 +406,28 @@ pub fn unwrap_envelope(text: &str) -> Result<(&str, &str), StoreError> {
     Ok((kind, payload))
 }
 
-/// Whether a file's first bytes look like a store envelope (used to
-/// accept legacy bare-TSV artifacts alongside wrapped ones).
-pub fn looks_like_envelope(text: &str) -> bool {
-    text.starts_with("rsg-artifact\t")
+/// The store formats an on-disk file can be in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreFormat {
+    /// A checksummed envelope (read it with [`read_artifact`] or
+    /// [`unwrap_envelope`]).
+    Envelope,
+    /// A sweep checkpoint journal ([`SweepJournal`]).
+    SweepJournal,
+    /// A platform delta journal ([`DeltaJournal`]).
+    DeltaJournal,
+}
+
+/// Says which store format `text` is in, by the magic that opens its
+/// first line; `None` for anything else. Nothing is verified here: the
+/// envelope and journal readers do that.
+pub fn sniff(text: &str) -> Option<StoreFormat> {
+    match text.split_once('\t')?.0 {
+        ENVELOPE_MAGIC => Some(StoreFormat::Envelope),
+        SweepCodec::MAGIC => Some(StoreFormat::SweepJournal),
+        DeltaCodec::MAGIC => Some(StoreFormat::DeltaJournal),
+        _ => None,
+    }
 }
 
 /// Atomically writes an envelope-wrapped artifact: the payload goes to
@@ -572,9 +581,6 @@ pub struct LineJournal<C: Codec> {
 }
 
 impl<C: Codec> LineJournal<C> {
-    /// The on-disk magic that identifies this journal kind.
-    pub const MAGIC: &'static str = C::MAGIC;
-
     /// Opens (or creates) the journal at `path` for a configuration
     /// that digests to `fingerprint` and writes `codec`'s header.
     ///
@@ -947,8 +953,12 @@ mod tests {
         let (kind, payload) = unwrap_envelope(&env).unwrap();
         assert_eq!(kind, "test-kind");
         assert_eq!(payload, body);
-        assert!(looks_like_envelope(&env));
-        assert!(!looks_like_envelope(body));
+        assert_eq!(sniff(&env), Some(StoreFormat::Envelope));
+        assert_eq!(sniff(body), None);
+        // A bare model payload is no store format.
+        assert_eq!(sniff("rsg-size-model\tv1\n"), None);
+        let journal = format!("{}\tv1\t00\n", DeltaCodec::MAGIC);
+        assert_eq!(sniff(&journal), Some(StoreFormat::DeltaJournal));
     }
 
     #[test]
@@ -1199,7 +1209,7 @@ mod tests {
         let dir = tmpdir("hostile");
         let path = dir.join("deltas.journal");
         // Valid header, hostile bodies: bad checksum, bad seq, bad TSV.
-        let header = format!("{}\tv1\t{:016x}\n", DeltaJournal::MAGIC, 0x1234);
+        let header = format!("{}\tv1\t{:016x}\n", DeltaCodec::MAGIC, 0x1234);
         for tail in [
             "delta\t1\tprice\t0.1\t0000000000000000\n",
             "delta\t99999999999999999999999\tprice\t0.1\tdeadbeef\n",

@@ -66,39 +66,16 @@ impl ModelRegistry {
         }
     }
 
-    /// Loads the registry from a model directory.
-    ///
-    /// Layout: the directory must contain exactly one size model —
-    /// `size_model.tsv` preferred, else the lexicographically first
-    /// file matching `size_model*.tsv` — and may contain a heuristic
-    /// model (`heur_model.tsv`, else first `heur_model*.tsv`). Both
-    /// may be bare TSV or store envelopes; envelopes are
-    /// checksum-verified and must carry the right artifact kind.
-    /// Without a heuristic model the registry falls back to
-    /// [`HeuristicPredictionModel::fixed`]`(Mcp)`, mirroring the
-    /// `rsg spec` default.
+    /// Loads the registry from a model directory or deployment tree,
+    /// found by [`persist::load_model_dir`] — the same rule `rsg audit`
+    /// checks as AUDIT001. Without a heuristic model the registry falls
+    /// back to [`HeuristicPredictionModel::fixed`]`(Mcp)`, mirroring
+    /// the `rsg spec` default.
     pub fn load(dir: &Path) -> Result<ModelRegistry, StoreError> {
-        // A whole deployment tree keeps its models under `models/`;
-        // pointing --models at the tree root must find them there (the
-        // same rule `rsg audit` checks as AUDIT001).
-        let models = dir.join("models");
-        let dir = if models.is_dir() { &models } else { dir };
-        let size_path = find_model(dir, "size_model")?.ok_or_else(|| {
-            StoreError::io(
-                dir,
-                "locate size model",
-                &std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    "no size_model*.tsv in the model directory",
-                ),
-            )
-        })?;
-        let size_model = persist::load_size_model(&size_path)?;
-        let (heuristic_model, heuristic_model_path) = match find_model(dir, "heur_model")? {
-            Some(p) => {
-                let m = persist::load_heuristic_model(&p)?;
-                (m, Some(p.display().to_string()))
-            }
+        let models = persist::load_model_dir(dir)?;
+        let (size_model, size_path) = models.size_model;
+        let (heuristic_model, heuristic_model_path) = match models.heuristic_model {
+            Some((m, p)) => (m, Some(p.display().to_string())),
             None => (HeuristicPredictionModel::fixed(HeuristicKind::Mcp), None),
         };
         Ok(ModelRegistry {
@@ -335,29 +312,6 @@ fn lint_candidate(candidate: &Generation) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Finds `<prefix>.tsv`, else the lexicographically first
-/// `<prefix>*.tsv`, in `dir`.
-fn find_model(dir: &Path, prefix: &str) -> Result<Option<std::path::PathBuf>, StoreError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, "list models", &e))?;
-    let mut names: Vec<String> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| StoreError::io(dir, "list models", &e))?;
-        if let Some(name) = entry.file_name().to_str() {
-            if name.starts_with(prefix) && name.ends_with(".tsv") {
-                names.push(name.to_string());
-            }
-        }
-    }
-    names.sort();
-    let exact = format!("{prefix}.tsv");
-    let chosen = if names.contains(&exact) {
-        Some(exact)
-    } else {
-        names.into_iter().next()
-    };
-    Ok(chosen.map(|n| dir.join(n)))
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 //! with `RSG_UPDATE_GOLDEN=1 cargo test --test audit_corpus`.
 
 use rsg::analyze::{audit_tree, serve_engine_fingerprint, Code};
+use rsg::core::persist::SIZE_MODEL_KIND;
 use rsg::core::push::{DeltaJournal, DeltaRecord};
+use rsg::core::store;
 use rsg::core::PlaneFit;
 use rsg::platform::delta::PlatformDelta;
 use rsg::platform::{ClusterId, CostModel, PlatformFile};
@@ -41,6 +43,11 @@ fn fixtures() -> PathBuf {
 fn write(path: &Path, text: &str) -> std::io::Result<()> {
     std::fs::create_dir_all(path.parent().unwrap())?;
     std::fs::write(path, text)
+}
+
+/// Writes a size model the way `rsg train --out` does: in its envelope.
+fn write_model(path: &Path, payload: &str) -> std::io::Result<()> {
+    store::write_atomic(path, SIZE_MODEL_KIND, payload).map_err(std::io::Error::other)
 }
 
 /// Writes a checksummed delta journal bound to the serving engine.
@@ -158,7 +165,7 @@ fn regenerate() -> std::io::Result<()> {
         &clean.join("platform.tsv"),
         &PlatformFile::serve_default().to_tsv(),
     )?;
-    write(&clean.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&clean.join("models/size_model.tsv"), &clean_model_tsv())?;
     write(&clean.join("specs/request.spec"), CLEAN_SPEC)?;
     write_journal(
         &clean.join("deltas.journal"),
@@ -183,32 +190,32 @@ fn regenerate() -> std::io::Result<()> {
     )?;
 
     let t = tree("AUDIT002_damaged_envelope");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write(
         &t.join("model.envelope"),
         "rsg-artifact\tv1\tsize-model\t5\t0000000000000000\nhello",
     )?;
 
     let t = tree("AUDIT003_foreign_journal");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write(
         &t.join("deltas.journal"),
         "rsg-delta-journal\tv1\t00000000deadbeef\n",
     )?;
 
     let t = tree("AUDIT004_sequence_gap");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write_journal(&t.join("deltas.journal"), &[join(2, 1)])?;
 
     let t = tree("AUDIT005_conflicting_redelivery");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write_journal(
         &t.join("deltas.journal"),
         &[join(2, 1), join(2, 2), join(1, 1)],
     )?;
 
     let t = tree("AUDIT006_invalid_record");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write_journal(
         &t.join("deltas.journal"),
         &[DeltaRecord {
@@ -221,12 +228,12 @@ fn regenerate() -> std::io::Result<()> {
     )?;
 
     let t = tree("AUDIT007_spec_regression");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write(&t.join("specs/request.spec"), REGRESSION_SPEC)?;
     write_journal(&t.join("deltas.journal"), &shrink_stream(60))?;
 
     let t = tree("AUDIT008_torn_tail");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write_journal(&t.join("deltas.journal"), &[join(1, 1)])?;
     let jpath = t.join("deltas.journal");
     let mut text = std::fs::read_to_string(&jpath)?;
@@ -234,7 +241,7 @@ fn regenerate() -> std::io::Result<()> {
     std::fs::write(&jpath, text)?;
 
     let t = tree("AUDIT009_clamped_clock");
-    write(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
+    write_model(&t.join("models/size_model.tsv"), &clean_model_tsv())?;
     write_journal(
         &t.join("deltas.journal"),
         &[DeltaRecord {
@@ -246,7 +253,7 @@ fn regenerate() -> std::io::Result<()> {
         }],
     )?;
 
-    write(
+    write_model(
         &tree("MODEL001_wild_coefficient").join("models/size_model.tsv"),
         &ThresholdedSizeModel {
             models: vec![model(0.001, 100.0)],
@@ -254,7 +261,7 @@ fn regenerate() -> std::io::Result<()> {
         .to_tsv(),
     )?;
 
-    write(
+    write_model(
         &tree("MODEL002_non_monotone_ladder").join("models/size_model.tsv"),
         &ThresholdedSizeModel {
             models: vec![model(0.001, 4.0), model(0.05, 8.0)],
@@ -270,7 +277,7 @@ fn regenerate() -> std::io::Result<()> {
         };
         4
     ];
-    write(
+    write_model(
         &tree("MODEL003_unsorted_axis").join("models/size_model.tsv"),
         &ThresholdedSizeModel {
             models: vec![SizePredictionModel::from_parts(
@@ -283,7 +290,7 @@ fn regenerate() -> std::io::Result<()> {
         .to_tsv(),
     )?;
 
-    write(
+    write_model(
         &tree("MODEL004_overreach").join("models/size_model.tsv"),
         &ThresholdedSizeModel {
             models: vec![model(0.001, 14.0)],

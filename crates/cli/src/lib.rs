@@ -181,7 +181,7 @@ Global options (any command):
   --report FILE    write a run report (counters, span timings,
                    histograms); '.tsv' extension selects TSV, anything
                    else JSON. Implies collection; a summary table is
-                   appended to the command output.
+                   printed to stderr.
 
 FILE '-' reads the DAG from stdin.
 ";
@@ -239,8 +239,9 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             std::fs::write(p, body)
                 .map_err(|e| CliError::Failed(format!("cannot write report {p}: {e}")))?;
         }
-        writeln!(out, "\n--- run report ---")?;
-        out.write_all(report.summary().as_bytes())?;
+        // The summary goes to stderr so stdout stays the command's own
+        // output (an envelope `rsg train` prints must still verify).
+        eprint!("\n--- run report ---\n{}", report.summary());
     }
     result
 }

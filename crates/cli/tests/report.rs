@@ -33,13 +33,12 @@ fn spec_report_covers_the_whole_pipeline() {
         "spec", "--grid", "tiny", dag_p, "--lang", "all", "--report", report_p,
     ]);
 
-    // The command output carries the human-readable summary.
+    // The human-readable summary goes to stderr: stdout is the
+    // command's own output only.
     assert!(
-        out.contains("--- run report ---"),
-        "summary appended: {out}"
+        !out.contains("--- run report ---") && !out.contains("== spans =="),
+        "summary leaked into stdout: {out}"
     );
-    assert!(out.contains("== spans =="));
-    assert!(out.contains("== counters =="));
 
     // The report file is valid JSON with the expected shape.
     let text = std::fs::read_to_string(report_p).expect("report written");

@@ -5,6 +5,16 @@
 //! configurations × 10 instances). This module drives that sweep — in
 //! parallel with rayon — and stores the per-cell knees for every
 //! threshold of interest.
+//!
+//! A grid cell (`Cell`) is the unit of work: generate its instances,
+//! evaluate them over its RC-size ladder, take its knees. One driver
+//! (`sweep`) streams the cells a run still owes through those steps
+//! in waves of a few cells per worker thread, dropping each wave's DAGs
+//! before generating the next, so memory holds a wave rather than the
+//! grid. [`measure`], the checkpointed and sharded drivers and the
+//! platform-aware sweep of [`crate::push`] are thin callers of it; the
+//! push engine keeps its cells and recomputes them through the same
+//! steps (`evaluate_cells`).
 
 use crate::curve::{mean_turnaround_reference, size_ladder, Curve, CurveConfig};
 use crate::knee::{find_knee, refine_knee};
@@ -14,12 +24,13 @@ use rsg_dag::{Dag, RandomDagSpec};
 use rsg_obs::Counter;
 use rsg_platform::ResourceCollection;
 use rsg_sched::evaluate_prefix;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// DAG instances generated by sweeps ([`measure`] phase 1).
+/// DAG instances generated for grid cells ([`Cell::generate`]).
 static OBS_DAGS: Counter = Counter::new("core.sweep.dags_generated");
-/// Ladder-point schedule evaluations ([`measure`] phase 2).
+/// Ladder-point schedule evaluations (a cell's ladder step).
 static OBS_LADDER_EVALS: Counter = Counter::new("core.sweep.ladder_evals");
 /// Knee-refinement probe evaluations that missed the per-cell memo.
 static OBS_REFINE_EVALS: Counter = Counter::new("core.sweep.refine_evals");
@@ -110,13 +121,10 @@ impl ObservationGrid {
         }
     }
 
-    /// Deterministic instances of one cell.
+    /// Deterministic instances of one cell (one when the grid asks for
+    /// none), exactly the DAGs every sweep evaluates for it.
     pub fn instances_of(&self, si: usize, ci: usize, ai: usize, bi: usize) -> Vec<Dag> {
-        let spec = self.spec(si, ci, ai, bi);
-        let base = cell_seed(si, ci, ai, bi);
-        (0..self.instances)
-            .map(|k| spec.generate(base.wrapping_add(k as u64)))
-            .collect()
+        Cell::generate(self, (si, ci, ai, bi)).dags
     }
 }
 
@@ -219,16 +227,236 @@ pub(crate) fn assemble_tables(
         .collect()
 }
 
+/// One grid cell's DAG instances and RC-size ladder: the unit of work
+/// of every sweep driver and of the push engine. A cell's knees depend
+/// only on its own instances and the RC it is evaluated on, so cells
+/// can be computed in any order, on any thread or in any process, with
+/// bit-identical results.
+pub(crate) struct Cell {
+    dags: Vec<Dag>,
+    ladder: Vec<usize>,
+}
+
+impl Cell {
+    /// Generates the instances of grid cell `(si, ci, ai, bi)` (one when
+    /// the grid asks for none).
+    pub(crate) fn generate(grid: &ObservationGrid, cell: (usize, usize, usize, usize)) -> Cell {
+        Cell::new(
+            (0..grid.instances.max(1))
+                .map(|k| Cell::instance(grid, cell, k))
+                .collect(),
+        )
+    }
+
+    /// Instance `k` of a cell, seeded `cell_seed + k`: the one seed rule,
+    /// so an instance never depends on the order instances are made in.
+    fn instance(
+        grid: &ObservationGrid,
+        (si, ci, ai, bi): (usize, usize, usize, usize),
+        k: usize,
+    ) -> Dag {
+        OBS_DAGS.incr();
+        grid.spec(si, ci, ai, bi)
+            .generate(cell_seed(si, ci, ai, bi).wrapping_add(k as u64))
+    }
+
+    fn new(dags: Vec<Dag>) -> Cell {
+        let width = dags
+            .iter()
+            .map(|d| d.width() as usize)
+            .max()
+            .expect("a cell has at least one instance");
+        Cell {
+            ladder: size_ladder(width),
+            dags,
+        }
+    }
+
+    /// The largest RC size the cell's ladder reaches: its widest
+    /// instance's width, so never more than the cell's DAG size.
+    pub(crate) fn cap(&self) -> usize {
+        *self.ladder.last().expect("a ladder is never empty")
+    }
+
+    /// The ladder step of instance `k`: its turnaround at every ladder
+    /// size, on prefixes of `rc`.
+    fn ladder(&self, k: usize, rc: &ResourceCollection, cfg: &CurveConfig) -> Vec<f64> {
+        OBS_LADDER_EVALS.add(self.ladder.len() as u64);
+        self.ladder
+            .iter()
+            .map(|&s| {
+                evaluate_prefix(&self.dags[k], rc, s, cfg.heuristic, &cfg.time_model).turnaround_s()
+            })
+            .collect()
+    }
+
+    /// The curve step: the mean of the per-instance ladders, summed in
+    /// instance order (the same left-to-right fold as [`measure_naive`]).
+    fn curve(&self, ladders: &[Vec<f64>]) -> Curve {
+        let points = self
+            .ladder
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| {
+                let mut total = 0.0f64;
+                for inst in ladders {
+                    total += inst[j];
+                }
+                (s, total / ladders.len() as f64)
+            })
+            .collect();
+        Curve { points }
+    }
+
+    /// The knee step: the cell's knee for every threshold. Refinement
+    /// probes share one `(size → mean)` memo, seeded with the curve,
+    /// across all thresholds.
+    fn knees(
+        &self,
+        curve: &Curve,
+        rc: &ResourceCollection,
+        cfg: &CurveConfig,
+        thetas: &[f64],
+        refine_rounds: u32,
+    ) -> Vec<f64> {
+        let mut memo: HashMap<usize, f64> = curve.points.iter().copied().collect();
+        thetas
+            .iter()
+            .map(|&theta| {
+                let k = if refine_rounds > 0 {
+                    refine_knee(curve, theta, refine_rounds, |s| {
+                        if let Some(&cached) = memo.get(&s) {
+                            OBS_MEMO_HITS.incr();
+                            return cached;
+                        }
+                        OBS_REFINE_EVALS.incr();
+                        let total: f64 = self
+                            .dags
+                            .iter()
+                            .map(|d| {
+                                evaluate_prefix(d, rc, s, cfg.heuristic, &cfg.time_model)
+                                    .turnaround_s()
+                            })
+                            .sum();
+                        let mean = total / self.dags.len() as f64;
+                        memo.insert(s, mean);
+                        mean
+                    })
+                } else {
+                    find_knee(curve, theta)
+                };
+                k as f64
+            })
+            .collect()
+    }
+}
+
+/// Computes the knees of `cells` (all of one grid), the i-th on
+/// `rcs[i]`, in two phases on the caller's span stack: `evaluate` runs
+/// the ladder and curve steps in parallel over (cell × instance), so a
+/// few expensive cells cannot serialize the tail, and `knees` runs the
+/// knee step in parallel over cells.
+pub(crate) fn evaluate_cells(
+    cells: &[&Cell],
+    rcs: &[&ResourceCollection],
+    cfg: &CurveConfig,
+    thetas: &[f64],
+    refine_rounds: u32,
+) -> Vec<Vec<f64>> {
+    let eval_span = rsg_obs::span("evaluate");
+    let n = cells.first().map_or(1, |c| c.dags.len());
+    let ladders: Vec<Vec<f64>> = (0..cells.len() * n)
+        .into_par_iter()
+        .map(|i| cells[i / n].ladder(i % n, rcs[i / n], cfg))
+        .collect();
+    let curves: Vec<Curve> = cells
+        .iter()
+        .zip(ladders.chunks(n))
+        .map(|(cell, ladders)| cell.curve(ladders))
+        .collect();
+    drop(eval_span);
+
+    let _knee_span = rsg_obs::span("knees");
+    (0..cells.len())
+        .into_par_iter()
+        .map(|c| cells[c].knees(&curves[c], rcs[c], cfg, thetas, refine_rounds))
+        .collect()
+}
+
+/// Cells per wave of [`sweep`]: enough to keep every worker busy through
+/// each phase while only this many cells' DAGs are alive.
+fn wave_cells() -> usize {
+    4 * rayon::current_num_threads()
+}
+
+/// The one sweep driver behind [`measure`], [`measure_checkpointed`],
+/// [`measure_shard`] and
+/// [`measure_on_platform`](crate::push::measure_on_platform).
+///
+/// Yields each cell of `owed` (grid-cell indices), in that order, with
+/// the cell and its knees. Cells are computed in waves of
+/// [`wave_cells`], each wave when the previous one has been consumed:
+/// generate the wave's instances (span `generate`, parallel over cell ×
+/// instance), then [`evaluate_cells`] on the RC `rc` gives each cell.
+/// Only the wave being computed or consumed holds DAGs.
+pub(crate) fn sweep<'a>(
+    grid: &'a ObservationGrid,
+    cfg: &'a CurveConfig,
+    thetas: &'a [f64],
+    refine_rounds: u32,
+    owed: Vec<usize>,
+    rc: impl Fn(&Cell) -> Cow<'a, ResourceCollection> + 'a,
+) -> impl Iterator<Item = (usize, Cell, Vec<f64>)> + 'a {
+    let cells = cell_list(grid);
+    let ninst = grid.instances.max(1);
+    let waves: Vec<Vec<usize>> = owed.chunks(wave_cells()).map(<[usize]>::to_vec).collect();
+    waves.into_iter().flat_map(move |wave| {
+        let gen_span = rsg_obs::span("generate");
+        let mut dags = (0..wave.len() * ninst)
+            .into_par_iter()
+            .map(|i| Cell::instance(grid, cells[wave[i / ninst]], i % ninst))
+            .collect::<Vec<Dag>>()
+            .into_iter();
+        let batch: Vec<Cell> = wave
+            .iter()
+            .map(|_| Cell::new(dags.by_ref().take(ninst).collect()))
+            .collect();
+        let rcs: Vec<Cow<'a, ResourceCollection>> = batch.iter().map(&rc).collect();
+        drop(gen_span);
+
+        let knees = evaluate_cells(
+            &batch.iter().collect::<Vec<_>>(),
+            &rcs.iter().map(AsRef::as_ref).collect::<Vec<_>>(),
+            cfg,
+            thetas,
+            refine_rounds,
+        );
+        wave.into_iter()
+            .zip(batch)
+            .zip(knees)
+            .map(|((c, cell), knees)| (c, cell, knees))
+            .collect::<Vec<_>>()
+    })
+}
+
+/// The RC every cell of a plain sweep takes prefixes of: the grid's
+/// largest DAG size bounds every cell's [`Cell::cap`], and the family's
+/// draws are prefix-stable, so one collection serves the whole grid.
+fn family_rc(grid: &ObservationGrid, cfg: &CurveConfig) -> ResourceCollection {
+    cfg.rc_family
+        .build(grid.sizes.iter().copied().max().unwrap_or(1))
+}
+
 /// Measures knee tables for every threshold in `thetas` over the grid.
 /// `refine_rounds > 0` bisects between ladder points for sharper knees.
 ///
 /// This is the optimized sweep — bit-identical to [`measure_naive`]:
 ///
-/// * parallelism is over `(cell × instance)` tasks, not cells, so the
-///   few expensive cells (large size × high parallelism) cannot
-///   serialize the tail of the sweep;
-/// * one maximum-size RC is built for the whole grid and every
-///   evaluation uses a prefix view of it (prefix-stable families);
+/// * cells stream through one driver in waves, so only a few cells' DAGs
+///   are in memory at once, and each wave's evaluations run in parallel
+///   over `(cell × instance)`;
+/// * one RC sized for the whole grid is built once and every evaluation
+///   uses a prefix view of it (prefix-stable families);
 /// * per-cell `(size → mean turnaround)` results are memoized and
 ///   shared between curve sampling and knee refinement across all
 ///   thresholds;
@@ -241,237 +469,14 @@ pub fn measure(
     refine_rounds: u32,
 ) -> Vec<KneeTable> {
     let _sweep = rsg_obs::span("sweep");
-    let SweepInputs {
-        cells,
-        ninst,
-        dags,
-        ladders,
-        rc,
-    } = prepare(grid, cfg);
-    let ntasks = cells.len() * ninst;
-
-    // Phase 2 — evaluate each instance over its cell's ladder, in
-    // parallel over (cell × instance).
-    let eval_span = rsg_obs::span("evaluate");
-    let per_instance: Vec<Vec<f64>> = (0..ntasks)
-        .into_par_iter()
-        .map(|i| {
-            let d = &dags[i];
-            let ladder = &ladders[i / ninst];
-            OBS_LADDER_EVALS.add(ladder.len() as u64);
-            ladder
-                .iter()
-                .map(|&s| evaluate_prefix(d, &rc, s, cfg.heuristic, &cfg.time_model).turnaround_s())
-                .collect()
-        })
-        .collect();
-    drop(eval_span);
-
-    // Reduce to per-cell mean curves, summing in instance order (the
-    // same left-to-right fold as the naive per-cell loop).
-    let curves: Vec<Curve> = (0..cells.len())
-        .map(|c| {
-            let points = ladders[c]
-                .iter()
-                .enumerate()
-                .map(|(j, &s)| {
-                    let mut total = 0.0f64;
-                    for k in 0..ninst {
-                        total += per_instance[c * ninst + k][j];
-                    }
-                    (s, total / ninst as f64)
-                })
-                .collect();
-            Curve { points }
-        })
-        .collect();
-
-    // Phase 3 — knees per (cell, theta); refinement evaluations share
-    // one per-cell (size → mean) memo across all thresholds.
-    let knee_span = rsg_obs::span("knees");
-    let per_cell: Vec<Vec<f64>> = (0..cells.len())
-        .into_par_iter()
-        .map(|c| {
-            let curve = &curves[c];
-            let cell_dags = &dags[c * ninst..(c + 1) * ninst];
-            let mut memo: HashMap<usize, f64> = curve.points.iter().copied().collect();
-            thetas
-                .iter()
-                .map(|&theta| {
-                    let k = if refine_rounds > 0 {
-                        refine_knee(curve, theta, refine_rounds, |s| {
-                            if let Some(&cached) = memo.get(&s) {
-                                OBS_MEMO_HITS.incr();
-                                return cached;
-                            }
-                            OBS_REFINE_EVALS.incr();
-                            let total: f64 = cell_dags
-                                .iter()
-                                .map(|d| {
-                                    evaluate_prefix(d, &rc, s, cfg.heuristic, &cfg.time_model)
-                                        .turnaround_s()
-                                })
-                                .sum();
-                            let mean = total / ninst as f64;
-                            memo.insert(s, mean);
-                            mean
-                        })
-                    } else {
-                        find_knee(curve, theta)
-                    };
-                    k as f64
-                })
-                .collect()
-        })
-        .collect();
-    drop(knee_span);
-
-    assemble_tables(grid, &cells, &per_cell, thetas)
-}
-
-/// The grid-wide inputs every checkpointed or sharded sweep rebuilds
-/// deterministically before computing cells: the cell list, every DAG
-/// instance, the per-cell ladders, and the single maximum-size RC all
-/// evaluations take prefixes of. Rebuilding is cheap relative to cell
-/// compute and keeps workers coordination-free — any process that runs
-/// [`prepare`] on the same `(grid, cfg)` sees bit-identical inputs.
-pub(crate) struct SweepInputs {
-    pub(crate) cells: Vec<(usize, usize, usize, usize)>,
-    pub(crate) ninst: usize,
-    pub(crate) dags: Vec<Dag>,
-    pub(crate) ladders: Vec<Vec<usize>>,
-    pub(crate) rc: ResourceCollection,
-}
-
-/// Phase 1 of [`measure`] and of the checkpointed and sharded
-/// drivers: generate every DAG instance (parallel over cell × instance,
-/// seeds independent of schedule order), size the per-cell ladders, and
-/// build the grid-wide RC.
-pub(crate) fn prepare(grid: &ObservationGrid, cfg: &CurveConfig) -> SweepInputs {
-    let cells = cell_list(grid);
-    let ninst = grid.instances.max(1);
-    let ntasks = cells.len() * ninst;
-
-    let gen_span = rsg_obs::span("generate");
-    let dags: Vec<Dag> = (0..ntasks)
-        .into_par_iter()
-        .map(|i| {
-            let (si, ci, ai, bi) = cells[i / ninst];
-            let spec = grid.spec(si, ci, ai, bi);
-            spec.generate(cell_seed(si, ci, ai, bi).wrapping_add((i % ninst) as u64))
-        })
-        .collect();
-    OBS_DAGS.add(ntasks as u64);
-    drop(gen_span);
-
-    let ladders: Vec<Vec<usize>> = (0..cells.len())
-        .map(|c| {
-            let width = dags[c * ninst..(c + 1) * ninst]
-                .iter()
-                .map(|d| d.width() as usize)
-                .max()
-                .unwrap();
-            size_ladder(width)
-        })
-        .collect();
-    let global_max = ladders
-        .iter()
-        .map(|l| *l.last().unwrap())
-        .max()
-        .unwrap_or(1);
-    let rc = cfg.rc_family.build(global_max);
-
-    SweepInputs {
-        cells,
-        ninst,
-        dags,
-        ladders,
-        rc,
-    }
-}
-
-/// One cell, fused phases 2+3: evaluate the cell's ladder, reduce to
-/// its mean curve with the same left-to-right instance fold as
-/// [`measure`], and take the knees (refinement shares one per-cell
-/// `(size → mean)` memo across all thresholds). Cells are mutually
-/// independent, so any scheduling of these calls — across threads or
-/// across processes — produces bit-identical knees.
-fn compute_cell(
-    inp: &SweepInputs,
-    cfg: &CurveConfig,
-    thetas: &[f64],
-    refine_rounds: u32,
-    c: usize,
-) -> Vec<f64> {
-    compute_cell_rc(inp, cfg, thetas, refine_rounds, c, &inp.rc)
-}
-
-/// [`compute_cell`] against an explicit resource collection instead of
-/// the grid-wide one in `inp` — the push-mode engine evaluates each
-/// cell against its own platform-derived RC, and the from-scratch
-/// reference sweep calls this with the identical RC, which is what
-/// makes incremental-vs-full bit-identity structural rather than
-/// numerical luck.
-pub(crate) fn compute_cell_rc(
-    inp: &SweepInputs,
-    cfg: &CurveConfig,
-    thetas: &[f64],
-    refine_rounds: u32,
-    c: usize,
-    rc: &ResourceCollection,
-) -> Vec<f64> {
-    let ninst = inp.ninst;
-    let ladder = &inp.ladders[c];
-    let cell_dags = &inp.dags[c * ninst..(c + 1) * ninst];
-    let per_instance: Vec<Vec<f64>> = cell_dags
-        .iter()
-        .map(|d| {
-            OBS_LADDER_EVALS.add(ladder.len() as u64);
-            ladder
-                .iter()
-                .map(|&s| evaluate_prefix(d, rc, s, cfg.heuristic, &cfg.time_model).turnaround_s())
-                .collect()
-        })
-        .collect();
-    let points: Vec<(usize, f64)> = ladder
-        .iter()
-        .enumerate()
-        .map(|(j, &s)| {
-            let mut total = 0.0f64;
-            for inst in per_instance.iter().take(ninst) {
-                total += inst[j];
-            }
-            (s, total / ninst as f64)
-        })
-        .collect();
-    let curve = Curve { points };
-    let mut memo: HashMap<usize, f64> = curve.points.iter().copied().collect();
-    thetas
-        .iter()
-        .map(|&theta| {
-            let k = if refine_rounds > 0 {
-                refine_knee(&curve, theta, refine_rounds, |s| {
-                    if let Some(&cached) = memo.get(&s) {
-                        OBS_MEMO_HITS.incr();
-                        return cached;
-                    }
-                    OBS_REFINE_EVALS.incr();
-                    let total: f64 = cell_dags
-                        .iter()
-                        .map(|d| {
-                            evaluate_prefix(d, rc, s, cfg.heuristic, &cfg.time_model).turnaround_s()
-                        })
-                        .sum();
-                    let mean = total / ninst as f64;
-                    memo.insert(s, mean);
-                    mean
-                })
-            } else {
-                find_knee(&curve, theta)
-            };
-            k as f64
-        })
-        .collect()
+    let rc = family_rc(grid, cfg);
+    let all = (0..grid.cells()).collect();
+    let per_cell: Vec<Vec<f64>> = sweep(grid, cfg, thetas, refine_rounds, all, |_| {
+        Cow::Borrowed(&rc)
+    })
+    .map(|(_, _, knees)| knees)
+    .collect();
+    assemble_tables(grid, &cell_list(grid), &per_cell, thetas)
 }
 
 /// Version tag folded into [`sweep_fingerprint`]; bump whenever the
@@ -523,16 +528,13 @@ impl CheckpointConfig {
 
 /// [`measure`] with cell-granular crash recovery: every completed cell
 /// is appended to a checksummed journal, and a restarted sweep replays
-/// the journal and computes only the missing cells — yielding tables
-/// bit-identical to an uninterrupted [`measure`] run.
+/// the journal and generates and computes only the missing cells —
+/// yielding tables bit-identical to an uninterrupted [`measure`] run.
 ///
-/// Resume still regenerates every DAG (phase 1): the per-cell ladders
-/// and the single shared RC are sized from the whole grid, and
-/// generation is the cheap phase. What resume skips is the expensive
-/// part — ladder evaluations and knee refinement for journaled cells.
-/// Per-cell results are computed with the same evaluations and the same
-/// left-to-right instance fold as [`measure`], and cells are mutually
-/// independent, so the floats match bitwise.
+/// Cells are journaled as their wave lands, so a killed sweep loses at
+/// most the wave in flight. Per-cell results are computed by the same
+/// cell steps as [`measure`] on the same RC prefixes, and cells are
+/// mutually independent, so the floats match bitwise.
 pub fn measure_checkpointed(
     grid: &ObservationGrid,
     cfg: &CurveConfig,
@@ -541,7 +543,32 @@ pub fn measure_checkpointed(
     checkpoint: &CheckpointConfig,
 ) -> Result<Vec<KneeTable>, StoreError> {
     let _sweep = rsg_obs::span("sweep_checkpointed");
+    let all = (0..grid.cells()).collect();
+    let (done, _) = sweep_journaled(grid, cfg, thetas, refine_rounds, checkpoint, all, None)?;
+    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); grid.cells()];
+    for (c, knees) in done {
+        per_cell[c] = knees;
+    }
+    Ok(assemble_tables(grid, &cell_list(grid), &per_cell, thetas))
+}
 
+/// The journaled driver behind [`measure_checkpointed`] and
+/// [`measure_shard`]: replays `checkpoint`'s journal, sweeps the cells
+/// of `mine` it does not hold yet (at most `checkpoint.cell_budget` of
+/// them, in order), and journals each as it lands, counting it in
+/// `landed` if given.
+/// Returns every cell the journal now holds and how many this call
+/// computed, or [`StoreError::Aborted`] (counts relative to `mine`) when
+/// the budget stopped it short.
+fn sweep_journaled(
+    grid: &ObservationGrid,
+    cfg: &CurveConfig,
+    thetas: &[f64],
+    refine_rounds: u32,
+    checkpoint: &CheckpointConfig,
+    mine: Vec<usize>,
+    landed: Option<&'static Counter>,
+) -> Result<(HashMap<usize, Vec<f64>>, usize), StoreError> {
     // Open (replay) the journal first: a stale fingerprint quarantines
     // it before any compute is spent.
     let journal = SweepJournal::open(
@@ -549,52 +576,31 @@ pub fn measure_checkpointed(
         sweep_fingerprint(grid, cfg, thetas, refine_rounds),
         thetas.len(),
     )?;
+    let mut done = journal.completed().clone();
+    let total = mine.len();
+    let mut owed: Vec<usize> = mine.into_iter().filter(|c| !done.contains_key(c)).collect();
+    let budget = checkpoint.cell_budget.unwrap_or(usize::MAX);
+    let truncated = budget < owed.len();
+    owed.truncate(budget);
+    let computed = owed.len();
 
-    let inp = prepare(grid, cfg);
-
-    // Cells missing from the journal, in sweep order, bounded by the
-    // abort budget when one is injected.
-    let done = journal.completed();
-    let mut todo: Vec<usize> = (0..inp.cells.len())
-        .filter(|c| !done.contains_key(c))
-        .collect();
-    let truncated = match checkpoint.cell_budget {
-        Some(budget) if budget < todo.len() => {
-            todo.truncate(budget);
-            true
+    let rc = family_rc(grid, cfg);
+    for (c, _, knees) in sweep(grid, cfg, thetas, refine_rounds, owed, |_| {
+        Cow::Borrowed(&rc)
+    }) {
+        journal.append(c, &knees)?;
+        if let Some(counter) = landed {
+            counter.incr();
         }
-        _ => false,
-    };
-
-    // Phases 2+3 fused per missing cell, so each cell becomes durable
-    // the moment it completes.
-    let eval_span = rsg_obs::span("evaluate");
-    let computed: Vec<Result<(usize, Vec<f64>), StoreError>> = todo
-        .par_iter()
-        .map(|&c| {
-            let knees = compute_cell(&inp, cfg, thetas, refine_rounds, c);
-            journal.append(c, &knees)?;
-            Ok((c, knees))
-        })
-        .collect();
-    drop(eval_span);
-    let computed: Vec<(usize, Vec<f64>)> = computed.into_iter().collect::<Result<_, _>>()?;
-
+        done.insert(c, knees);
+    }
     if truncated {
         return Err(StoreError::Aborted {
-            completed: done.len() + computed.len(),
-            total: inp.cells.len(),
+            completed: done.len(),
+            total,
         });
     }
-
-    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); inp.cells.len()];
-    for (&c, knees) in done {
-        per_cell[c] = knees.clone();
-    }
-    for (c, knees) in computed {
-        per_cell[c] = knees;
-    }
-    Ok(assemble_tables(grid, &inp.cells, &per_cell, thetas))
+    Ok((done, computed))
 }
 
 /// One worker's slice of a sharded sweep: shard `index` of `count`.
@@ -625,15 +631,14 @@ pub fn shard_journal_path(base: &Path, shard: ShardSpec) -> PathBuf {
 /// Computes one shard's missing cells and journals each as it lands;
 /// returns the number of cells computed by this call. Safe to run
 /// concurrently with the other shards from separate OS processes: every
-/// worker deterministically rebuilds the same inputs (`prepare`), owns
-/// a disjoint cell subset, and appends to its own journal (same
-/// fingerprint discipline as [`measure_checkpointed`], so a stale shard
-/// journal quarantines rather than resumes). A killed worker loses at
-/// most its in-flight cells; re-running the shard resumes from its
-/// journal. `checkpoint.cell_budget` bounds the cells computed in this
-/// call and aborts with [`StoreError::Aborted`] (counts relative to the
-/// shard's own cell set) — the fault-injection hook for
-/// kill-and-resume tests.
+/// worker generates only the cells it owns (a disjoint subset), and
+/// appends to its own journal (same fingerprint discipline as
+/// [`measure_checkpointed`], so a stale shard journal quarantines
+/// rather than resumes). A killed worker loses at most its in-flight
+/// wave; re-running the shard resumes from its journal.
+/// `checkpoint.cell_budget` bounds the cells computed in this call and
+/// aborts with [`StoreError::Aborted`] (counts relative to the shard's
+/// own cell set) — the fault-injection hook for kill-and-resume tests.
 pub fn measure_shard(
     grid: &ObservationGrid,
     cfg: &CurveConfig,
@@ -649,47 +654,21 @@ pub fn measure_shard(
         shard.count
     );
     let _sweep = rsg_obs::span("sweep_shard");
-    let journal = SweepJournal::open(
-        &shard_journal_path(&checkpoint.journal_path, shard),
-        sweep_fingerprint(grid, cfg, thetas, refine_rounds),
-        thetas.len(),
-    )?;
-
-    let inp = prepare(grid, cfg);
-    let done = journal.completed();
-    let mine: Vec<usize> = (0..inp.cells.len())
-        .filter(|c| c % shard.count == shard.index)
-        .collect();
-    let shard_total = mine.len();
-    let mut todo: Vec<usize> = mine.into_iter().filter(|c| !done.contains_key(c)).collect();
-    let truncated = match checkpoint.cell_budget {
-        Some(budget) if budget < todo.len() => {
-            todo.truncate(budget);
-            true
-        }
-        _ => false,
+    let mine = (shard.index..grid.cells()).step_by(shard.count).collect();
+    let checkpoint = CheckpointConfig {
+        journal_path: shard_journal_path(&checkpoint.journal_path, shard),
+        cell_budget: checkpoint.cell_budget,
     };
-
-    let eval_span = rsg_obs::span("evaluate");
-    let computed: Vec<Result<usize, StoreError>> = todo
-        .par_iter()
-        .map(|&c| {
-            let knees = compute_cell(&inp, cfg, thetas, refine_rounds, c);
-            journal.append(c, &knees)?;
-            Ok(c)
-        })
-        .collect();
-    drop(eval_span);
-    let computed = computed.into_iter().collect::<Result<Vec<_>, _>>()?;
-    OBS_SHARD_CELLS.add(computed.len() as u64);
-
-    if truncated {
-        return Err(StoreError::Aborted {
-            completed: done.len() + computed.len(),
-            total: shard_total,
-        });
-    }
-    Ok(computed.len())
+    let (_, computed) = sweep_journaled(
+        grid,
+        cfg,
+        thetas,
+        refine_rounds,
+        &checkpoint,
+        mine,
+        Some(&OBS_SHARD_CELLS),
+    )?;
+    Ok(computed)
 }
 
 /// Merges the `count` shard journals of a sharded sweep into knee
@@ -802,12 +781,30 @@ mod tests {
 
     #[test]
     fn fast_measure_matches_naive() {
-        let grid = ObservationGrid::tiny();
+        // The tiny grid, and 180 cheap cells: many waves at any thread
+        // count a CI runner has, so cells on both sides of every wave
+        // boundary are checked bit for bit.
+        let many = ObservationGrid {
+            sizes: vec![10, 25, 40],
+            ccrs: vec![0.01, 0.5, 1.0],
+            alphas: vec![0.3, 0.5, 0.7, 0.9],
+            betas: vec![0.01, 0.3, 0.5, 0.8, 1.0],
+            density: 0.5,
+            mean_comp: 20.0,
+            instances: 2,
+        };
         let cfg = CurveConfig::default();
-        for refine in [0u32, 2] {
-            let fast = measure(&grid, &cfg, &[0.001, 0.05], refine);
-            let naive = measure_naive(&grid, &cfg, &[0.001, 0.05], refine);
-            assert_eq!(fast, naive, "refine_rounds = {refine}");
+        for grid in [ObservationGrid::tiny(), many] {
+            for refine in [0u32, 2] {
+                let fast = measure(&grid, &cfg, &[0.001, 0.05], refine);
+                let naive = measure_naive(&grid, &cfg, &[0.001, 0.05], refine);
+                assert_eq!(
+                    fast,
+                    naive,
+                    "{} cells, refine_rounds = {refine}",
+                    grid.cells()
+                );
+            }
         }
     }
 

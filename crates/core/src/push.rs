@@ -39,20 +39,20 @@
 //! Bit-identity between the incremental state and a from-scratch
 //! resweep ([`measure_on_platform`]) is structural, not numerical luck:
 //! both paths derive each cell's [`RcFamily`] from the platform with
-//! the same function and evaluate the cell with the same
-//! `compute_cell` kernel, and cells are mutually independent.
+//! the same function and evaluate the cell with the same cell steps
+//! (`observation::evaluate_cells`), and cells are mutually independent.
 
 use crate::curve::{CurveConfig, RcFamily};
 use crate::observation::{
-    assemble_tables, cell_list, compute_cell_rc, prepare, sweep_fingerprint, KneeTable,
-    ObservationGrid, SweepInputs,
+    assemble_tables, cell_list, evaluate_cells, sweep, sweep_fingerprint, Cell, KneeTable,
+    ObservationGrid,
 };
 use crate::sizemodel::ThresholdedSizeModel;
 use crate::store::fnv1a;
-use rayon::prelude::*;
 use rsg_obs::Counter;
 use rsg_platform::delta::{DeltaError, DeltaSequencer};
-use rsg_platform::{CostModel, Platform};
+use rsg_platform::{CostModel, Platform, ResourceCollection};
+use std::borrow::Cow;
 
 pub use crate::store::DeltaJournal;
 pub use rsg_platform::delta::{DeltaRecord, MAX_PARKED};
@@ -206,6 +206,15 @@ pub fn derive_family(platform: &Platform, base: &CurveConfig, cap: usize) -> RcF
     }
 }
 
+/// Every cell's [`RcFamily`] on `platform` ([`derive_family`] at the
+/// cell's ladder cap).
+fn families(platform: &Platform, cfg: &CurveConfig, cells: &[Cell]) -> Vec<RcFamily> {
+    cells
+        .iter()
+        .map(|cell| derive_family(platform, cfg, cell.cap()))
+        .collect()
+}
+
 /// From-scratch platform-aware sweep: every cell evaluated against the
 /// RC its footprint on `platform` implies. This is the reference the
 /// anti-entropy audit and the convergence tests compare the incremental
@@ -218,16 +227,26 @@ pub fn measure_on_platform(
     refine_rounds: u32,
     platform: &Platform,
 ) -> Vec<KneeTable> {
-    let inputs = prepare(grid, cfg);
-    let per_cell: Vec<Vec<f64>> = (0..inputs.cells.len())
-        .into_par_iter()
-        .map(|c| {
-            let cap = *inputs.ladders[c].last().unwrap();
-            let fam = derive_family(platform, cfg, cap);
-            compute_cell_rc(&inputs, cfg, thetas, refine_rounds, c, &fam.build(cap))
-        })
+    let per_cell: Vec<Vec<f64>> = sweep_on_platform(grid, cfg, thetas, refine_rounds, platform)
+        .map(|(_, knees)| knees)
         .collect();
-    assemble_tables(grid, &inputs.cells, &per_cell, thetas)
+    assemble_tables(grid, &cell_list(grid), &per_cell, thetas)
+}
+
+/// Every cell of `grid` with its knees, in grid-cell order, each cell
+/// evaluated on the RC its footprint on `platform` implies.
+fn sweep_on_platform<'a>(
+    grid: &'a ObservationGrid,
+    cfg: &'a CurveConfig,
+    thetas: &'a [f64],
+    refine_rounds: u32,
+    platform: &'a Platform,
+) -> impl Iterator<Item = (Cell, Vec<f64>)> + 'a {
+    let all = (0..grid.cells()).collect();
+    sweep(grid, cfg, thetas, refine_rounds, all, |cell| {
+        Cow::Owned(derive_family(platform, cfg, cell.cap()).build(cell.cap()))
+    })
+    .map(|(_, cell, knees)| (cell, knees))
 }
 
 /// The push-mode incremental recomputation engine. See the module docs
@@ -239,7 +258,7 @@ pub struct PushEngine {
     thetas: Vec<f64>,
     refine_rounds: u32,
     fingerprint: u64,
-    inputs: SweepInputs,
+    cells: Vec<Cell>,
     sequencer: DeltaSequencer,
     families: Vec<RcFamily>,
     per_cell: Vec<Vec<f64>>,
@@ -260,26 +279,11 @@ impl PushEngine {
         cost: CostModel,
     ) -> PushEngine {
         let fingerprint = sweep_fingerprint(&grid, &cfg, &thetas, refine_rounds);
-        let inputs = prepare(&grid, &cfg);
-        let ncells = inputs.cells.len();
-        let families: Vec<RcFamily> = (0..ncells)
-            .map(|c| derive_family(&platform, &cfg, *inputs.ladders[c].last().unwrap()))
-            .collect();
-        let per_cell: Vec<Vec<f64>> = (0..ncells)
-            .into_par_iter()
-            .map(|c| {
-                let cap = *inputs.ladders[c].last().unwrap();
-                compute_cell_rc(
-                    &inputs,
-                    &cfg,
-                    &thetas,
-                    refine_rounds,
-                    c,
-                    &families[c].build(cap),
-                )
-            })
-            .collect();
-        let tables = assemble_tables(&grid, &inputs.cells, &per_cell, &thetas);
+        let (cells, per_cell): (Vec<Cell>, Vec<Vec<f64>>) =
+            sweep_on_platform(&grid, &cfg, &thetas, refine_rounds, &platform).unzip();
+        let ncells = cells.len();
+        let families = families(&platform, &cfg, &cells);
+        let tables = assemble_tables(&grid, &cell_list(&grid), &per_cell, &thetas);
         let model = ThresholdedSizeModel::fit(&tables);
 
         // The explicit dependency DAG: cells feed the tables, the
@@ -320,7 +324,7 @@ impl PushEngine {
             thetas,
             refine_rounds,
             fingerprint,
-            inputs,
+            cells,
             sequencer: DeltaSequencer::new(platform, cost),
             families,
             per_cell,
@@ -363,7 +367,7 @@ impl PushEngine {
 
     /// Number of sweep cells under management.
     pub fn cells(&self) -> usize {
-        self.inputs.cells.len()
+        self.cells.len()
     }
 
     /// How current the engine is. `lag > 0` means a sequence gap is
@@ -422,63 +426,58 @@ impl PushEngine {
     /// those, and rebuilds the downstream tables and fit. Returns
     /// `(dirtied, recomputed)`.
     fn propagate(&mut self) -> (usize, usize) {
-        let ncells = self.inputs.cells.len();
-        let fresh: Vec<RcFamily> = (0..ncells)
-            .map(|c| {
-                derive_family(
-                    self.sequencer.platform(),
-                    &self.cfg,
-                    *self.inputs.ladders[c].last().unwrap(),
-                )
-            })
-            .collect();
+        let ncells = self.cells.len();
+        let fresh = families(self.sequencer.platform(), &self.cfg, &self.cells);
         let dirty: Vec<usize> = (0..ncells)
             .filter(|&c| fresh[c] != self.families[c])
             .collect();
+        OBS_CELLS_DIRTIED.add(dirty.len() as u64);
+        OBS_CELLS_RECOMPUTED.add(dirty.len() as u64);
+        self.families = fresh;
+        if dirty.is_empty() {
+            return (0, 0);
+        }
+
         for &c in &dirty {
             self.nodes[c].state = NodeState::Dirty;
         }
-        if !dirty.is_empty() {
-            let tables_node = ncells;
-            self.nodes[tables_node].state = NodeState::Dirty;
-            self.nodes[tables_node + 1].state = NodeState::Dirty;
-        }
-        OBS_CELLS_DIRTIED.add(dirty.len() as u64);
-
-        self.families = fresh;
-        let recomputed: Vec<(usize, Vec<f64>)> = dirty
-            .par_iter()
-            .map(|&c| {
-                let cap = *self.inputs.ladders[c].last().unwrap();
-                (
-                    c,
-                    compute_cell_rc(
-                        &self.inputs,
-                        &self.cfg,
-                        &self.thetas,
-                        self.refine_rounds,
-                        c,
-                        &self.families[c].build(cap),
-                    ),
-                )
-            })
-            .collect();
-        for (c, knees) in recomputed {
+        self.nodes[ncells].state = NodeState::Dirty;
+        self.nodes[ncells + 1].state = NodeState::Dirty;
+        let recomputed = self.recompute(&dirty, &self.families);
+        for (&c, knees) in dirty.iter().zip(recomputed) {
             self.per_cell[c] = knees;
             self.nodes[c].state = NodeState::Clean;
         }
-        OBS_CELLS_RECOMPUTED.add(dirty.len() as u64);
-
-        if !dirty.is_empty() {
-            self.rebuild_downstream();
-        }
+        self.rebuild_downstream();
         (dirty.len(), dirty.len())
+    }
+
+    /// Recomputes the knees of cells `which`, cell `c` on the RC of
+    /// `families[c]`.
+    fn recompute(&self, which: &[usize], families: &[RcFamily]) -> Vec<Vec<f64>> {
+        let cells: Vec<&Cell> = which.iter().map(|&c| &self.cells[c]).collect();
+        let rcs: Vec<ResourceCollection> = which
+            .iter()
+            .map(|&c| families[c].build(self.cells[c].cap()))
+            .collect();
+        evaluate_cells(
+            &cells,
+            &rcs.iter().collect::<Vec<_>>(),
+            &self.cfg,
+            &self.thetas,
+            self.refine_rounds,
+        )
     }
 
     /// Rebuilds the tables and fit nodes from the per-cell state.
     fn rebuild_downstream(&mut self) {
-        let ncells = self.inputs.cells.len();
-        self.tables = assemble_tables(&self.grid, &self.inputs.cells, &self.per_cell, &self.thetas);
+        let ncells = self.cells.len();
+        self.tables = assemble_tables(
+            &self.grid,
+            &cell_list(&self.grid),
+            &self.per_cell,
+            &self.thetas,
+        );
         self.model = ThresholdedSizeModel::fit(&self.tables);
         self.nodes[ncells].state = NodeState::Clean;
         self.nodes[ncells + 1].state = NodeState::Clean;
@@ -497,7 +496,7 @@ impl PushEngine {
     /// cells.
     pub fn audit(&mut self, sample: usize, salt: u64) -> AuditReport {
         OBS_AUDITS.incr();
-        let ncells = self.inputs.cells.len();
+        let ncells = self.cells.len();
         let applied_seq = self.sequencer.applied_seq();
         let mut state = self
             .fingerprint
@@ -521,18 +520,11 @@ impl PushEngine {
             checked: picked.len(),
             divergent: 0,
         };
+        let picked: Vec<usize> = picked.into_iter().collect();
+        let families = families(self.sequencer.platform(), &self.cfg, &self.cells);
+        let recomputed = self.recompute(&picked, &families);
         let mut repaired = false;
-        for c in picked {
-            let cap = *self.inputs.ladders[c].last().unwrap();
-            let fam = derive_family(self.sequencer.platform(), &self.cfg, cap);
-            let fresh = compute_cell_rc(
-                &self.inputs,
-                &self.cfg,
-                &self.thetas,
-                self.refine_rounds,
-                c,
-                &fam.build(cap),
-            );
+        for (&c, fresh) in picked.iter().zip(recomputed) {
             let identical = fresh.len() == self.per_cell[c].len()
                 && fresh
                     .iter()
@@ -543,7 +535,7 @@ impl PushEngine {
                 OBS_DIVERGENCE.incr();
                 report.divergent += 1;
                 self.per_cell[c] = fresh;
-                self.families[c] = fam;
+                self.families[c] = families[c];
                 self.nodes[c].state = NodeState::Clean;
                 OBS_CELLS_RECOMPUTED.incr();
                 repaired = true;
@@ -565,12 +557,6 @@ impl PushEngine {
         }
         self.rebuild_downstream();
     }
-}
-
-/// The cell list of a grid, exposed for tools that want to label cells
-/// the way the engine indexes them.
-pub fn engine_cell_list(grid: &ObservationGrid) -> Vec<(usize, usize, usize, usize)> {
-    cell_list(grid)
 }
 
 #[cfg(test)]

@@ -108,7 +108,8 @@ pub enum StoreError {
         /// The version string found.
         found: String,
     },
-    /// The payload is shorter than its header claims.
+    /// The payload length differs from what its header claims: shorter
+    /// (truncated) or longer (trailing bytes after the payload).
     Truncated {
         /// File (empty when decoding from memory).
         path: String,
@@ -274,12 +275,26 @@ impl fmt::Display for StoreError {
         };
         match self {
             StoreError::Io { path, op, msg } => write!(f, "cannot {op} {path}: {msg}"),
-            StoreError::BadMagic { path, found } => {
-                write!(f, "not an rsg artifact{}: starts '{found}'", at(path))
-            }
+            StoreError::BadMagic { path, found } => write!(
+                f,
+                "not an rsg artifact{}: starts '{}'",
+                at(path),
+                found.escape_debug()
+            ),
             StoreError::Version { path, found } => {
                 write!(f, "unsupported artifact version '{found}'{}", at(path))
             }
+            StoreError::Truncated {
+                path,
+                expected,
+                found,
+            } if found > expected => write!(
+                f,
+                "trailing bytes after the payload{}: header promises {expected} payload \
+                 bytes, found {} more",
+                at(path),
+                found - expected
+            ),
             StoreError::Truncated {
                 path,
                 expected,
@@ -973,17 +988,31 @@ mod tests {
             unwrap_envelope(&flipped),
             Err(StoreError::Checksum { .. })
         ));
-        // Truncate the payload.
-        let cut = &env[..env.len() - 4];
-        assert!(matches!(
-            unwrap_envelope(cut),
-            Err(StoreError::Truncated { .. })
-        ));
+        // Truncate the payload, or append to it: both are length
+        // mismatches, each reported as what it is.
+        let cut = unwrap_envelope(&env[..env.len() - 4]).unwrap_err();
+        assert!(matches!(cut, StoreError::Truncated { .. }), "{cut:?}");
+        assert!(cut.is_corruption());
+        assert!(cut.to_string().starts_with("truncated artifact"), "{cut}");
+        let long = unwrap_envelope(&format!("{env}\n--- run report ---\n")).unwrap_err();
+        assert!(matches!(long, StoreError::Truncated { .. }), "{long:?}");
+        assert!(long.is_corruption());
+        assert_eq!(
+            long.to_string(),
+            "trailing bytes after the payload: header promises 23 payload bytes, found 20 more"
+        );
         // Wrong magic and wrong version.
         assert!(matches!(
             unwrap_envelope("garbage\nx"),
             Err(StoreError::BadMagic { .. })
         ));
+        // Control characters in the quoted start are escaped, so the
+        // message stays one line with no raw tabs.
+        let bare = unwrap_envelope("rsg-size-model\tv1\nx").unwrap_err();
+        assert_eq!(
+            bare.to_string(),
+            "not an rsg artifact: starts 'rsg-size-model\\tv1'"
+        );
         assert!(matches!(
             unwrap_envelope("rsg-artifact\tv9\tk\t1\t00\nx"),
             Err(StoreError::Version { .. })

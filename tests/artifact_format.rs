@@ -149,8 +149,15 @@ fn bare_model_is_refused_by_every_path() {
 
     let audit = audit_tree(&root).unwrap();
     assert!(audit.errors() > 0, "{}", audit.to_human());
-    let (r, _) = run(&["audit", root.to_str().unwrap()]);
+    let (r, out) = run(&["audit", root.to_str().unwrap()]);
     assert_eq!(r.unwrap_err().exit_code(), 6);
+    // The detail column quotes the file's start with its tab escaped.
+    let row = out
+        .lines()
+        .find(|l| l.contains("AUDIT001"))
+        .unwrap_or_else(|| panic!("no AUDIT001 row: {out}"));
+    assert!(row.contains(r"starts 'rsg-size-model\tv1"), "{row}");
+    assert!(!row.contains('\t'), "raw tab in the audit table: {row:?}");
 
     let (r, _) = run(&["serve", "--models", root.to_str().unwrap(), "--preflight"]);
     assert_eq!(r.unwrap_err().exit_code(), 6);
@@ -208,15 +215,6 @@ fn knee_tables_envelope_audits_clean_and_damage_is_audit002() {
 #[test]
 fn train_without_out_prints_a_loadable_envelope() {
     let dir = scratch("train-stdout");
-    let (r, stdout) = run(&["train", "--grid", "tiny"]);
-    r.unwrap();
-    let model = dir.join("m.tsv");
-    std::fs::write(&model, &stdout).unwrap();
-
-    let (r, out) = run(&["store", "verify", model.to_str().unwrap()]);
-    r.unwrap();
-    assert!(out.contains("OK — artifact 'size-model'"), "{out}");
-
     let dag = dir.join("wf.dag");
     let (r, _) = run(&[
         "gen",
@@ -227,12 +225,34 @@ fn train_without_out_prints_a_loadable_envelope() {
         dag.to_str().unwrap(),
     ]);
     r.unwrap();
-    let (r, out) = run(&[
-        "predict",
-        "--model",
-        model.to_str().unwrap(),
-        dag.to_str().unwrap(),
-    ]);
-    r.unwrap();
-    assert!(out.contains("threshold"), "{out}");
+    // `--report` writes its file and keeps its summary off stdout, so the
+    // printed envelope still verifies.
+    let report = dir.join("r.json");
+    let with_report = ["--report", report.to_str().unwrap()];
+    for extra in [&[][..], &with_report[..]] {
+        let args: Vec<&str> = ["train", "--grid", "tiny"]
+            .iter()
+            .chain(extra)
+            .copied()
+            .collect();
+        let (r, stdout) = run(&args);
+        r.unwrap();
+        let model = dir.join("m.tsv");
+        std::fs::write(&model, &stdout).unwrap();
+
+        let (r, out) = run(&["store", "verify", model.to_str().unwrap()]);
+        r.unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        assert!(out.contains("OK — artifact 'size-model'"), "{out}");
+
+        let (r, out) = run(&[
+            "predict",
+            "--model",
+            model.to_str().unwrap(),
+            dag.to_str().unwrap(),
+        ]);
+        r.unwrap();
+        assert!(out.contains("threshold"), "{out}");
+    }
+    let report = std::fs::read_to_string(&report).expect("--report wrote its file");
+    assert!(report.contains("rsg_obs_report"), "{report}");
 }

@@ -1,7 +1,7 @@
 //! Kill-and-resume integration tests for the checkpointed observation
 //! sweep: a sweep aborted mid-run must resume from its journal and
 //! produce knee tables *byte-identical* to an uninterrupted run, with
-//! zero recomputed completed cells (asserted through the
+//! zero recomputed or regenerated completed cells (asserted through the
 //! `core.store.*` and `core.sweep.*` obs counters).
 
 use rsg::core::curve::CurveConfig;
@@ -56,6 +56,11 @@ fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
         report.counter("core.store.cells_checkpointed"),
         abort_after as u64
     );
+    assert_eq!(
+        report.counter("core.sweep.dags_generated"),
+        (abort_after * grid.instances) as u64,
+        "the aborted run generates only the cells it computed"
+    );
 
     // Run 2: restart with no budget. Every journaled cell is resumed —
     // not recomputed — and the tables are byte-identical to the clean
@@ -74,6 +79,11 @@ fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
         (total - abort_after) as u64
     );
     assert_eq!(
+        report.counter("core.sweep.dags_generated"),
+        ((total - abort_after) * grid.instances) as u64,
+        "resume generates only the cells it still owes"
+    );
+    assert_eq!(
         knee_tables_to_tsv(&resumed),
         clean_tsv,
         "resumed tables must serialize byte-identically to a clean run"
@@ -90,6 +100,7 @@ fn aborted_sweep_resumes_bit_identical_with_no_recompute() {
         0,
         "a fully-journaled sweep must not re-evaluate any cell"
     );
+    assert_eq!(report.counter("core.sweep.dags_generated"), 0);
     assert_eq!(knee_tables_to_tsv(&replayed), clean_tsv);
 
     rsg::obs::enable(false);

@@ -1,4 +1,4 @@
-//! Plain-text/CSV table output shared by the experiment binaries.
+//! Plain-text/CSV table output shared by the experiments.
 
 use std::fmt::Write as _;
 
@@ -84,14 +84,14 @@ impl Table {
         out
     }
 
-    /// Prints the text table, then the CSV under a marker (the format
-    /// every experiment binary emits).
-    pub fn print(&self, title: &str) {
-        println!("== {title} ==");
-        println!("{}", self.to_text());
-        println!("--- csv ---");
-        print!("{}", self.to_csv());
-        println!();
+    /// Renders the titled text table, then the CSV under a marker (the
+    /// format every experiment emits).
+    pub fn render(&self, title: &str) -> String {
+        format!(
+            "== {title} ==\n{}\n--- csv ---\n{}\n",
+            self.to_text(),
+            self.to_csv()
+        )
     }
 }
 
@@ -109,12 +109,6 @@ pub fn secs(x: f64) -> String {
     } else {
         format!("{x:.4}")
     }
-}
-
-/// Reads the experiment scale preset from `RSG_SCALE` (`fast` default,
-/// `full` for paper-scale runs).
-pub fn scale_is_full() -> bool {
-    std::env::var("RSG_SCALE").is_ok_and(|v| v == "full")
 }
 
 #[cfg(test)]

@@ -12,11 +12,14 @@
 //! parallel stage at a time).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
-/// Maximum worker threads (actual = min(items, this)).
+/// Maximum worker threads (actual = min(items, this)). Queried once per
+/// process, as upstream rayon sizes its pool once: the query reads
+/// cgroup files on Linux.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 thread_local! {
@@ -26,8 +29,10 @@ thread_local! {
 /// Runs `f(i)` for every index in `0..n`, collecting results in index
 /// order. Dynamic scheduling over scoped threads; panics propagate.
 fn run_indexed<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
-    let nested = INSIDE_POOL.with(|b| b.load(Ordering::Relaxed));
-    let threads = if nested {
+    // A trivial or nested stage runs on the calling thread, without
+    // looking up the thread count.
+    let sequential = n <= 1 || INSIDE_POOL.with(|b| b.load(Ordering::Relaxed));
+    let threads = if sequential {
         1
     } else {
         current_num_threads().min(n)

@@ -27,8 +27,7 @@
 //!   per threshold.
 //! * [`persist`] — TSV (de)serialization of trained models.
 //! * [`store`] — crash-safe artifact store: checksummed envelopes,
-//!   atomic writes, quarantine-and-rebuild, and the sweep checkpoint
-//!   journal.
+//!   atomic writes, quarantine, and the sweep checkpoint journal.
 //! * [`optsearch`] — the Table V-3 heuristic that derives the *actual*
 //!   optimal RC size around a prediction.
 //! * [`validate`] — the Table V-5/V-7 validation metrics.

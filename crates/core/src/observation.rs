@@ -985,6 +985,21 @@ mod tests {
     }
 
     #[test]
+    fn sweep_fingerprint_tracks_obs_config() {
+        // A journal replayed into an instrumented sweep records no
+        // counters or spans, so instrumented and uninstrumented sweeps
+        // must not share one.
+        let _guard = rsg_obs::test_guard();
+        let grid = ObservationGrid::tiny();
+        let cfg = CurveConfig::default();
+        let off = sweep_fingerprint(&grid, &cfg, &[0.05], 1);
+        rsg_obs::enable(true);
+        let on = sweep_fingerprint(&grid, &cfg, &[0.05], 1);
+        rsg_obs::enable(false);
+        assert_ne!(off, on);
+    }
+
+    #[test]
     fn cell_instances_deterministic() {
         let grid = ObservationGrid::tiny();
         let a = grid.instances_of(0, 0, 0, 0);

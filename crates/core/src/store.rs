@@ -1,8 +1,8 @@
 //! Crash-safe artifact store: checksummed envelopes, atomic writes,
-//! quarantine-and-rebuild, and the line journals.
+//! quarantine, and the line journals.
 //!
 //! Every durable artifact the pipeline writes (trained models, knee
-//! tables, sweep caches, journals) goes through this module so that a
+//! tables, journals) goes through this module so that a
 //! crash, preemption or partial write can never leave a corrupt file
 //! that is later *trusted*. The discipline is the one long-lived Condor
 //! daemons use: write to a temporary file, fsync, rename into place,
@@ -510,36 +510,6 @@ pub fn quarantine(path: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Loads an envelope-wrapped artifact and decodes it, quarantining and
-/// rebuilding on *any* damage: a missing file rebuilds silently, a
-/// corrupt or undecodable one is moved to `*.corrupt` first. `rebuild`
-/// returns the fresh value and the payload to persist; persistence
-/// failures are reported to `warn` but never fail the load (the value
-/// is still returned — the store degrades to compute-every-time).
-pub fn load_or_rebuild<T>(
-    path: &Path,
-    kind: &str,
-    decode: impl Fn(&str) -> Result<T, StoreError>,
-    rebuild: impl FnOnce() -> (T, String),
-    mut warn: impl FnMut(&str),
-) -> T {
-    let missing = !path.exists();
-    if !missing {
-        match read_artifact(path, kind).and_then(|payload| decode(&payload)) {
-            Ok(v) => return v,
-            Err(e) => match quarantine(path) {
-                Some(q) => warn(&format!("{e}; quarantined to {}", q.display())),
-                None => warn(&format!("{e}; could not quarantine")),
-            },
-        }
-    }
-    let (value, payload) = rebuild();
-    if let Err(e) = write_atomic(path, kind, &payload) {
-        warn(&format!("rebuilt {kind} not persisted: {e}"));
-    }
-    value
-}
-
 /// What a journal's [`open`](LineJournal::open_with) replay found on
 /// disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1041,48 +1011,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
-    }
-
-    #[test]
-    fn load_or_rebuild_quarantines_corruption() {
-        let dir = tmpdir("rebuild");
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(dir.join("cache.tsv.corrupt"));
-        let decode = |s: &str| -> Result<String, StoreError> { Ok(s.to_string()) };
-        // Missing → rebuild silently.
-        let v = load_or_rebuild(
-            &path,
-            "k",
-            decode,
-            || ("v1".to_string(), "v1".to_string()),
-            |_| panic!("no warning expected for a missing cache"),
-        );
-        assert_eq!(v, "v1");
-        // Cached → served without rebuild.
-        let v = load_or_rebuild(
-            &path,
-            "k",
-            decode,
-            || panic!("must not rebuild a healthy cache"),
-            |_| {},
-        );
-        assert_eq!(v, "v1");
-        // Corrupt → quarantined + rebuilt.
-        std::fs::write(&path, "garbage bytes, not an envelope").unwrap();
-        let mut warned = false;
-        let v = load_or_rebuild(
-            &path,
-            "k",
-            decode,
-            || ("v2".to_string(), "v2".to_string()),
-            |_| warned = true,
-        );
-        assert_eq!(v, "v2");
-        assert!(warned);
-        assert!(dir.join("cache.tsv.corrupt").exists());
-        // And the slot now holds the rebuilt artifact.
-        assert_eq!(read_artifact(&path, "k").unwrap(), "v2");
     }
 
     /// The lifecycle cases every journal codec must pass.

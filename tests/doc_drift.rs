@@ -1,15 +1,15 @@
 //! Doc-drift gate: every `rsg` invocation the README and the serve
 //! docs show must use subcommands and flags that actually exist in
-//! the CLI's own usage text. A renamed or removed flag fails here, at
-//! the doc that still advertises it, instead of in a user's shell.
+//! the CLI's own usage text, and every experiment ID the docs pass to
+//! `reproduce` must be registered, with a golden and an EXPERIMENTS.md
+//! row. A renamed or removed flag or ID fails here, at the doc that
+//! still advertises it, instead of in a user's shell.
 
 use std::path::Path;
 
-/// Extracts `rsg` argument vectors from a markdown document's code
-/// fences: lines invoking the binary directly (`rsg …`) or through
-/// cargo (`cargo run … --bin rsg -- …`). Backslash-continued lines
-/// are joined first.
-fn rsg_invocations(doc: &str) -> Vec<String> {
+/// The lines of a markdown document's code fences, backslash-continued
+/// lines joined.
+fn fenced_lines(doc: &str) -> Vec<String> {
     let mut joined: Vec<String> = Vec::new();
     let mut pending = String::new();
     let mut in_fence = false;
@@ -31,6 +31,13 @@ fn rsg_invocations(doc: &str) -> Vec<String> {
         joined.push(std::mem::take(&mut pending));
     }
     joined
+}
+
+/// Extracts `rsg` argument vectors from a markdown document's code
+/// fences: lines invoking the binary directly (`rsg …`) or through
+/// cargo (`cargo run … --bin rsg -- …`).
+fn rsg_invocations(doc: &str) -> Vec<String> {
+    fenced_lines(doc)
         .into_iter()
         .filter_map(|l| {
             if let Some((_, tail)) = l.split_once("--bin rsg -- ") {
@@ -103,4 +110,57 @@ fn usage_subcommands_are_all_dispatched() {
         );
     }
     assert!(checked >= 10, "only {checked} subcommands found in USAGE");
+}
+
+/// Every registered experiment has a committed golden and a row in
+/// EXPERIMENTS.md's tables, and every experiment ID the docs pass to
+/// `reproduce` (directly or through `cargo run … --bin reproduce --`)
+/// is registered.
+#[test]
+fn documented_experiment_ids_are_registered_with_goldens_and_rows() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let experiments_md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+    for &(id, _) in rsg_bench::EXPERIMENTS {
+        assert!(
+            root.join(format!("results/{id}.txt")).is_file(),
+            "experiment {id} has no results/{id}.txt golden"
+        );
+        assert!(
+            experiments_md
+                .lines()
+                .any(|l| l.starts_with('|') && l.contains(&format!("`{id}`"))),
+            "experiment {id} has no row in EXPERIMENTS.md"
+        );
+    }
+
+    let mut named = 0usize;
+    for doc_name in ["README.md", "EXPERIMENTS.md", "DESIGN.md"] {
+        let doc = std::fs::read_to_string(root.join(doc_name)).unwrap();
+        for line in fenced_lines(&doc) {
+            let line = line.split('#').next().unwrap_or_default();
+            let Some(args) = line
+                .split_once("--bin reproduce --")
+                .map(|(_, tail)| tail)
+                .or_else(|| line.strip_prefix("reproduce"))
+            else {
+                continue;
+            };
+            let mut words = args.split_whitespace();
+            while let Some(word) = words.next() {
+                if word == "--scale" {
+                    words.next();
+                } else {
+                    named += 1;
+                    assert!(
+                        rsg_bench::experiment(word).is_some(),
+                        "{doc_name} runs `reproduce {word}` but no experiment has that ID:\n  {line}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        named >= 5,
+        "only {named} experiment IDs found in reproduce commands — extraction looks broken"
+    );
 }

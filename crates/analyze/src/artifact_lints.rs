@@ -2,7 +2,7 @@
 //! artifact in it by *content*, not by name.
 //!
 //! Naming conventions drift; headers do not. Every artifact family in
-//! the pipeline is self-describing — models and knee tables travel in
+//! the pipeline is self-describing — models travel in
 //! `rsg-artifact` envelopes that name their kind, journals open with
 //! their own magics ([`store::sniff`] tells these apart), the platform
 //! file with `rsg-platform` — so the auditor sniffs the first bytes of
@@ -13,7 +13,7 @@
 //! `specs/` directory is analyzed as a spec document, because spec
 //! languages (vgDL, ClassAds) have no reserved magic.
 
-use rsg_core::persist::{HEUR_MODEL_KIND, KNEE_TABLES_KIND, SIZE_MODEL_KIND};
+use rsg_core::persist::{HEUR_MODEL_KIND, SIZE_MODEL_KIND};
 use rsg_core::store::{self, StoreFormat};
 use std::path::{Path, PathBuf};
 
@@ -24,9 +24,7 @@ pub enum ArtifactKind {
     SizeModel,
     /// A heuristic prediction model (a `heur-model` envelope).
     HeurModel,
-    /// Persisted knee tables (a `knee-tables` envelope).
-    KneeTables,
-    /// A sweep checkpoint journal (possibly one shard of a set).
+    /// A sweep checkpoint journal.
     SweepJournal,
     /// A platform delta journal.
     DeltaJournal,
@@ -122,7 +120,6 @@ fn classify_text(text: &str, in_specs: bool) -> Option<(ArtifactKind, String)> {
                 Ok((kind, payload)) => match kind {
                     SIZE_MODEL_KIND => (ArtifactKind::SizeModel, payload.to_string()),
                     HEUR_MODEL_KIND => (ArtifactKind::HeurModel, payload.to_string()),
-                    KNEE_TABLES_KIND => (ArtifactKind::KneeTables, payload.to_string()),
                     other => (
                         ArtifactKind::DamagedEnvelope,
                         format!("envelope carries unknown artifact kind '{other}'"),

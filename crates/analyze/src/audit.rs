@@ -1,17 +1,17 @@
 //! `rsg audit`: whole-deployment static verification of the artifact
 //! graph.
 //!
-//! Every artifact the pipeline emits — size/heuristic models, knee
-//! tables, sweep journals, the platform file, delta journals, rendered
-//! specs — already checks *itself* (store checksums, `rsg lint`, the
+//! Every artifact the pipeline emits — size/heuristic models, sweep
+//! journals, the platform file, delta journals, rendered specs —
+//! already checks *itself* (store checksums, `rsg lint`, the
 //! push engine's validation). What nothing checked until now is the
 //! *graph*: whether the artifacts sitting together in one deployment
 //! tree are mutually consistent at the moment `rsg serve` would boot
 //! on them. This module audits the tree offline:
 //!
 //! * the fingerprint chain — a delta journal keyed to a different
-//!   engine configuration, or sweep-journal shards that disagree with
-//!   each other, are errors *before* boot, not quarantines at runtime;
+//!   engine configuration is an error *before* boot, not a quarantine
+//!   at runtime;
 //! * a **delta-stream fold** that replays the delta journals onto the
 //!   platform through the push engine's own [`DeltaSequencer`] — the
 //!   engine minus its model recompute, so the fold's classification,
@@ -105,8 +105,7 @@ pub fn audit_tree(root: &Path) -> std::io::Result<AnalysisReport> {
     //    MODEL lints.
     diagnostics.extend(lint_models(root, &artifacts, &base_platform));
 
-    // 3. Sweep journals: per-file integrity plus the shard-set
-    //    fingerprint agreement no single-file check can do.
+    // 3. Sweep journals: per-file integrity and torn tails.
     diagnostics.extend(lint_sweep_journals(&artifacts));
 
     // 4. Delta journals: fingerprint binding, then the sequencer fold
@@ -153,9 +152,6 @@ fn lint_models(root: &Path, artifacts: &[Artifact], platform: &Platform) -> Vec<
                 Ok(model) => out.extend(lint_heuristic_model(&model, &a.subject)),
                 Err(e) => out.push(damage(e)),
             },
-            ArtifactKind::KneeTables => {
-                out.extend(persist::knee_tables_from_tsv(&a.text).err().map(damage));
-            }
             ArtifactKind::DamagedEnvelope => {
                 out.push(Diagnostic::error(Code::Audit002, &a.subject, &a.text));
             }
@@ -167,13 +163,12 @@ fn lint_models(root: &Path, artifacts: &[Artifact], platform: &Platform) -> Vec<
 
 fn lint_sweep_journals(artifacts: &[Artifact]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut fingerprints: Vec<(String, u64)> = Vec::new();
     for a in artifacts
         .iter()
         .filter(|a| a.kind == ArtifactKind::SweepJournal)
     {
         match SweepJournal::verify(&a.path) {
-            Ok((fp, _thetas, good, bad)) => {
+            Ok((_, _, good, bad)) => {
                 if bad > 0 {
                     out.push(Diagnostic::warn(
                         Code::Audit008,
@@ -184,26 +179,8 @@ fn lint_sweep_journals(artifacts: &[Artifact]) -> Vec<Diagnostic> {
                         ),
                     ));
                 }
-                fingerprints.push((a.subject.clone(), fp));
             }
             Err(e) => out.push(Diagnostic::error(Code::Audit002, &a.subject, e.to_string())),
-        }
-    }
-    // Shard agreement: every sweep journal in one tree must digest the
-    // same sweep, or a shard merge will quarantine the stragglers.
-    if let Some((first_subject, first_fp)) = fingerprints.first().cloned() {
-        for (subject, fp) in fingerprints.iter().skip(1) {
-            if *fp != first_fp {
-                out.push(Diagnostic::error(
-                    Code::Audit003,
-                    subject,
-                    format!(
-                        "sweep fingerprint {fp:016x} disagrees with sibling \
-                         {first_subject} ({first_fp:016x}); these shards are not \
-                         from the same sweep"
-                    ),
-                ));
-            }
         }
     }
     out

@@ -3,10 +3,10 @@
 //! decision surface (Figure VI-2), heterogeneity robustness (Table VI-3)
 //! and validation (Tables VI-4/VI-5, Figures VI-4/VI-5).
 
-use crate::experiments::{heuristic_training, instances, spec, Scale};
+use crate::experiments::{heuristic_training, instances, spec, trained_heuristic_model, Scale};
 use crate::report::{pct, secs, Table};
 use rsg_core::curve::{turnaround_curve, turnaround_curve_sizes, CurveConfig, RcFamily};
-use rsg_core::heurmodel::{HeuristicPredictionModel, HeuristicTraining};
+use rsg_core::heurmodel::HeuristicTraining;
 use rsg_dag::RandomDagSpec;
 use rsg_sched::HeuristicKind;
 use std::fmt::Write as _;
@@ -141,7 +141,7 @@ pub fn tab6_3(scale: Scale) -> String {
 /// from the best possible turnaround.
 pub fn tab6_4(scale: Scale) -> String {
     let training = heuristic_training(scale);
-    let model = HeuristicPredictionModel::train(&training, &CurveConfig::default());
+    let model = trained_heuristic_model(scale);
 
     // Validation points: geometric midpoints of the size grid at both
     // on-grid and midpoint CCRs (Table VI-4).
@@ -230,12 +230,7 @@ pub fn tab6_4(scale: Scale) -> String {
 /// surface over (size, CCR).
 pub fn fig6_1(scale: Scale) -> String {
     let training = heuristic_training(scale);
-    eprintln!(
-        "[training] heuristic model on {} x {} cells ...",
-        training.sizes.len(),
-        training.ccrs.len()
-    );
-    let model = HeuristicPredictionModel::train(&training, &CurveConfig::default());
+    let model = trained_heuristic_model(scale);
 
     // Figure VI-1: per-heuristic optimal turnaround vs size (first CCR).
     let mut fig = Table::new(

@@ -3,11 +3,10 @@
 //! clock-rate × RC-size trade-off behind alternative specifications
 //! (Figures VII-6/VII-7).
 
-use crate::experiments::{heuristic_training, instances, spec, trained_size_model, Scale};
+use crate::experiments::{instances, spec, trained_heuristic_model, trained_size_model, Scale};
 use crate::report::{secs, Table};
 use rsg_core::alternative::tier_size_threshold;
 use rsg_core::curve::{mean_turnaround, CurveConfig, RcFamily};
-use rsg_core::heurmodel::HeuristicPredictionModel;
 use rsg_core::specgen::{GeneratorConfig, SpecGenerator};
 use std::fmt::Write as _;
 
@@ -15,8 +14,7 @@ use std::fmt::Write as _;
 /// Montage DAG in all three resource-selection languages.
 pub fn fig7_3(scale: Scale) -> String {
     let (size_model, _) = trained_size_model(scale);
-    let heur = HeuristicPredictionModel::train(&heuristic_training(scale), &CurveConfig::default());
-    let generator = SpecGenerator::new(size_model, heur);
+    let generator = SpecGenerator::new(size_model, trained_heuristic_model(scale).clone());
 
     let dag = match scale {
         Scale::Full => rsg_dag::montage::montage_4469_actual(),

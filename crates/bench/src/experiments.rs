@@ -1,15 +1,16 @@
 //! Shared machinery for the experiments: the scale preset, seeded DAG
-//! instances and the trained size model.
+//! instances and the trained size and heuristic models.
 //!
 //! Every experiment takes a [`Scale`]: the `fast` preset reproduces each
 //! experiment's *shape* in seconds on a laptop core; `full` switches to
 //! the paper's parameters (Table IV-3 / V-1 scale — hours of CPU).
 
 use rsg_core::curve::CurveConfig;
-use rsg_core::heurmodel::HeuristicTraining;
+use rsg_core::heurmodel::{HeuristicPredictionModel, HeuristicTraining};
 use rsg_core::observation::{measure, measure_checkpointed, CheckpointConfig, ObservationGrid};
 use rsg_core::{ThresholdedSizeModel, THRESHOLD_LADDER};
 use rsg_dag::{Dag, RandomDagSpec};
+use std::sync::OnceLock;
 
 /// The experiment scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,10 +76,10 @@ pub fn instances(spec: RandomDagSpec, count: usize, salt: u64) -> Vec<Dag> {
 /// the given scale: the observation sweep (Table V-1 grid at full scale)
 /// through the checkpoint journal `target/rsg_sweep_<scale>.journal`,
 /// then the fit. The journal's header digests the grid, curve
-/// configuration, thresholds, refinement, observability configuration
-/// and sweep code version, so a journal of any other sweep is
-/// quarantined rather than replayed; a complete journal replays without
-/// computing, and a killed sweep resumes where it stopped. A journal
+/// configuration, thresholds, refinement and sweep code version, so a
+/// journal of any other sweep is quarantined rather than replayed; a
+/// complete journal replays without computing, whether or not the run
+/// is observed, and a killed sweep resumes where it stopped. A journal
 /// that cannot be written never fails the experiment: the sweep then
 /// runs without one.
 pub fn trained_size_model(scale: Scale) -> (ThresholdedSizeModel, CurveConfig) {
@@ -102,6 +103,22 @@ pub fn trained_size_model(scale: Scale) -> (ThresholdedSizeModel, CurveConfig) {
 /// The heuristic-model observation set (Table VI-1 at full scale).
 pub fn heuristic_training(scale: Scale) -> HeuristicTraining {
     scale.pick(HeuristicTraining::fast(), HeuristicTraining::paper())
+}
+
+/// The heuristic prediction model trained on [`heuristic_training`]
+/// with the default curve configuration. Trained once per process per
+/// scale: every experiment that needs it shares the one model.
+pub fn trained_heuristic_model(scale: Scale) -> &'static HeuristicPredictionModel {
+    static MODELS: [OnceLock<HeuristicPredictionModel>; 2] = [OnceLock::new(), OnceLock::new()];
+    MODELS[scale.pick(0, 1)].get_or_init(|| {
+        let training = heuristic_training(scale);
+        eprintln!(
+            "[training] heuristic model on {} x {} cells ...",
+            training.sizes.len(),
+            training.ccrs.len()
+        );
+        HeuristicPredictionModel::train(&training, &CurveConfig::default())
+    })
 }
 
 #[cfg(test)]

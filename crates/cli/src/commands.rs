@@ -130,7 +130,7 @@ pub fn curve(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Grid selection shared by `train` and its shard workers.
+/// Grid selection for `train`.
 fn grid_by_name(label: &str) -> Result<ObservationGrid, CliError> {
     match label {
         "tiny" => Ok(ObservationGrid::tiny()),
@@ -142,61 +142,9 @@ fn grid_by_name(label: &str) -> Result<ObservationGrid, CliError> {
     }
 }
 
-/// Runs the sweep sharded over `count` worker processes, each invoking
-/// this same binary's hidden `train-shard` subcommand on a disjoint
-/// cell subset with its own journal, then merges the shard journals.
-fn sharded_sweep(
-    grid: &rsg_core::ObservationGrid,
-    label: &str,
-    journal: &str,
-    count: usize,
-    out: &mut dyn Write,
-) -> Result<Vec<rsg_core::KneeTable>, CliError> {
-    let exe = std::env::current_exe()
-        .map_err(|e| CliError::Failed(format!("cannot locate own executable: {e}")))?;
-    let mut children = Vec::with_capacity(count);
-    for i in 0..count {
-        let child = std::process::Command::new(&exe)
-            .args([
-                "train-shard",
-                "--grid",
-                label,
-                "--journal",
-                journal,
-                "--shard",
-                &format!("{i}/{count}"),
-            ])
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| CliError::Failed(format!("cannot spawn shard {i}/{count}: {e}")))?;
-        children.push(child);
-    }
-    for (i, mut child) in children.into_iter().enumerate() {
-        let status = child
-            .wait()
-            .map_err(|e| CliError::Failed(format!("shard {i}/{count}: {e}")))?;
-        if !status.success() {
-            return Err(CliError::Failed(format!(
-                "shard {i}/{count} exited with {status}; rerun to resume from its journal"
-            )));
-        }
-    }
-    writeln!(out, "merging {count} shard journals ...")?;
-    Ok(rsg_core::merge_shards(
-        grid,
-        &CurveConfig::default(),
-        &rsg_core::THRESHOLD_LADDER,
-        0,
-        std::path::Path::new(journal),
-        count,
-    )?)
-}
-
-/// `rsg train [--grid tiny|fast|paper] [--out FILE] [--journal FILE]
-/// [--shards N]`
+/// `rsg train [--grid tiny|fast|paper] [--out FILE] [--journal FILE]`
 pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let label = args.opt("grid").unwrap_or("fast").to_string();
-    let grid = grid_by_name(&label)?;
+    let grid = grid_by_name(args.opt("grid").unwrap_or("fast"))?;
     let file = args.opt("out");
     // Without --out, stdout carries the artifact alone.
     let mut err = std::io::stderr();
@@ -208,31 +156,8 @@ pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         grid.instances
     )?;
     let cfg = CurveConfig::default();
-    let shards = match args.opt("shards") {
-        None => None,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                return Err(CliError::Usage(format!(
-                    "--shards expects a positive integer, got '{v}'"
-                )))
-            }
-        },
-    };
-    let tables = match (shards, args.opt("journal")) {
-        (Some(_), None) => {
-            return Err(CliError::Usage(
-                "--shards requires --journal BASE (shard journals are \
-                 derived from the base path)"
-                    .into(),
-            ))
-        }
-        (Some(n), Some(j)) => {
-            let tables = sharded_sweep(&grid, &label, j, n, log)?;
-            writeln!(log, "sweep sharded {n} ways, journals at {j}.shard*")?;
-            tables
-        }
-        (None, Some(j)) => {
+    let tables = match args.opt("journal") {
+        Some(j) => {
             let ckpt = rsg_core::CheckpointConfig::new(j);
             let tables = rsg_core::observation::measure_checkpointed(
                 &grid,
@@ -244,7 +169,7 @@ pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             writeln!(log, "sweep checkpointed to {j}")?;
             tables
         }
-        (None, None) => rsg_core::observation::measure(&grid, &cfg, &rsg_core::THRESHOLD_LADDER, 0),
+        None => rsg_core::observation::measure(&grid, &cfg, &rsg_core::THRESHOLD_LADDER, 0),
     };
     let model = ThresholdedSizeModel::fit(&tables);
     emit_artifact(file, SIZE_MODEL_KIND, &model.to_tsv(), "model", out)
@@ -266,38 +191,6 @@ fn emit_artifact(
         }
         None => out.write_all(rsg_core::store::wrap_envelope(kind, payload).as_bytes())?,
     }
-    Ok(())
-}
-
-/// `rsg train-shard --grid tiny|fast|paper --journal BASE --shard i/N`
-///
-/// Hidden worker subcommand behind `rsg train --shards N`: computes one
-/// shard's cells of the sweep into `<BASE>.shard<i>-of-<N>` and exits.
-/// Resumable — a rerun skips cells already journaled.
-pub fn train_shard(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let grid = grid_by_name(args.require("grid")?)?;
-    let journal = args.require("journal")?;
-    let spec = args.require("shard")?;
-    let shard = spec
-        .split_once('/')
-        .and_then(|(i, n)| Some((i.parse::<usize>().ok()?, n.parse::<usize>().ok()?)))
-        .filter(|&(i, n)| n > 0 && i < n)
-        .map(|(index, count)| rsg_core::ShardSpec { index, count })
-        .ok_or_else(|| CliError::Usage(format!("--shard expects i/N with i < N, got '{spec}'")))?;
-    let ckpt = rsg_core::CheckpointConfig::new(journal);
-    let computed = rsg_core::measure_shard(
-        &grid,
-        &CurveConfig::default(),
-        &rsg_core::THRESHOLD_LADDER,
-        0,
-        &ckpt,
-        shard,
-    )?;
-    writeln!(
-        out,
-        "shard {}/{}: {computed} cells computed",
-        shard.index, shard.count
-    )?;
     Ok(())
 }
 
@@ -597,10 +490,8 @@ pub fn train_heuristic(args: &mut Args, out: &mut dyn Write) -> Result<(), CliEr
 
 /// `rsg store verify PATH...` — read-only integrity check of persisted
 /// artifacts: envelope magic/version/length/checksum, or per-line
-/// checksums for sweep and platform-delta journals. A path whose
-/// `.shard<i>-of-<N>` siblings exist (a sharded sweep) has every shard
-/// verified too. Prints one line per file; the exit status reflects
-/// the first failure found.
+/// checksums for sweep and platform-delta journals. Prints one line per
+/// file; the exit status reflects the first failure found.
 pub fn store(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let action = args.require_positional("store action (verify)")?;
     if action != "verify" {
@@ -608,17 +499,7 @@ pub fn store(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             "unknown store action '{action}' (verify)"
         )));
     }
-    let mut paths = Vec::new();
-    while let Some(p) = args.positional() {
-        for sibling in shard_siblings(&p) {
-            if !paths.contains(&sibling) {
-                paths.push(sibling);
-            }
-        }
-        if !paths.contains(&p) {
-            paths.push(p);
-        }
-    }
+    let paths: Vec<String> = std::iter::from_fn(|| args.positional()).collect();
     if paths.is_empty() {
         return Err(CliError::Usage(
             "store verify needs at least one path".into(),
@@ -640,37 +521,6 @@ pub fn store(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         Some(e) => Err(e),
         None => Ok(()),
     }
-}
-
-/// Expands a sharded sweep's journals: `BASE` names shards
-/// `BASE.shard<i>-of-<N>` in the same directory (the layout
-/// [`rsg_core::shard_journal_path`] writes), so verifying the base
-/// path should cover every shard a partitioned `rsg train` produced.
-/// Returns the existing siblings in name order; never errors — a path
-/// in an unreadable directory just expands to nothing.
-fn shard_siblings(path: &str) -> Vec<String> {
-    let p = std::path::Path::new(path);
-    let (Some(dir), Some(name)) = (p.parent(), p.file_name().map(|n| n.to_string_lossy())) else {
-        return Vec::new();
-    };
-    let prefix = format!("{name}.shard");
-    let Ok(entries) = std::fs::read_dir(if dir.as_os_str().is_empty() {
-        std::path::Path::new(".")
-    } else {
-        dir
-    }) else {
-        return Vec::new();
-    };
-    let mut out: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| {
-            let fname = e.file_name().to_string_lossy().into_owned();
-            (fname.starts_with(&prefix) && fname.contains("-of-"))
-                .then(|| dir.join(&fname).to_string_lossy().into_owned())
-        })
-        .collect();
-    out.sort();
-    out
 }
 
 /// Verifies one file: a sweep journal, a delta journal or a store

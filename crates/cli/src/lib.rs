@@ -115,7 +115,6 @@ USAGE:
   rsg stats   FILE
   rsg curve   FILE [--heuristic MCP|DLS|FCA|FCFS|Greedy] [--instances K]
   rsg train   [--grid tiny|fast|paper] [--out FILE] [--journal FILE]
-              [--shards N]
   rsg train-heuristic [--preset fast|paper] [--out FILE]
   rsg predict --model FILE DAGFILE
   rsg spec    (--model FILE | --grid tiny|fast) DAGFILE
@@ -137,13 +136,9 @@ USAGE:
 store envelope to --out FILE, or else to stdout (progress to stderr).
 `rsg train --journal FILE` checkpoints each completed sweep cell to
 FILE; a re-run with the same grid resumes from the first missing cell.
-`rsg train --shards N --journal BASE` partitions the sweep across N
-worker processes, each journaling its cells to BASE.shard<i>-of-<N>;
-the shard journals are merged (and a killed shard resumed) on rerun.
 `rsg store verify` checks the envelope/journal checksums of persisted
 artifacts without modifying them; it understands store envelopes,
-sweep journals (expanding their .shard<i>-of-<N> siblings when given
-the base path) and platform delta journals.
+sweep journals and platform delta journals.
 `rsg lint` statically analyzes spec and DAG files (vgDL, ClassAd,
 SWORD XML, rsg-spec, rsg-dag — the kind is sniffed from the content);
 all spec files in one invocation are treated as renderings of the same
@@ -212,7 +207,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "stats" => commands::stats(&mut args, out),
         "curve" => commands::curve(&mut args, out),
         "train" => commands::train(&mut args, out),
-        "train-shard" => commands::train_shard(&mut args, out),
         "train-heuristic" => commands::train_heuristic(&mut args, out),
         "predict" => commands::predict(&mut args, out),
         "spec" => commands::spec(&mut args, out),
@@ -273,50 +267,6 @@ mod tests {
     fn unknown_command_is_usage_error() {
         assert!(matches!(run_err(&["frobnicate"]), CliError::Usage(_)));
         assert!(matches!(run_err(&[]), CliError::Usage(_)));
-    }
-
-    /// Sharded-train argument validation must fail before any worker
-    /// process is spawned (no side effects from a bad invocation).
-    #[test]
-    fn sharded_train_usage_errors() {
-        let e = run_err(&["train", "--grid", "tiny", "--shards", "2"]);
-        assert!(
-            matches!(e, CliError::Usage(ref m) if m.contains("--journal")),
-            "{e:?}"
-        );
-        assert!(matches!(
-            run_err(&["train", "--grid", "tiny", "--shards", "0", "--journal", "j"]),
-            CliError::Usage(_)
-        ));
-        assert!(matches!(
-            run_err(&["train", "--grid", "tiny", "--shards", "x", "--journal", "j"]),
-            CliError::Usage(_)
-        ));
-        // Worker subcommand: shard index out of range.
-        assert!(matches!(
-            run_err(&[
-                "train-shard",
-                "--grid",
-                "tiny",
-                "--journal",
-                "j",
-                "--shard",
-                "2/2"
-            ]),
-            CliError::Usage(_)
-        ));
-        assert!(matches!(
-            run_err(&[
-                "train-shard",
-                "--grid",
-                "tiny",
-                "--journal",
-                "j",
-                "--shard",
-                "nope"
-            ]),
-            CliError::Usage(_)
-        ));
     }
 
     #[test]
@@ -579,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn store_verify_covers_delta_and_sharded_journals() {
+    fn store_verify_covers_delta_and_sweep_journals() {
         use rsg_core::push::{DeltaJournal, DeltaRecord};
         use rsg_platform::delta::PlatformDelta;
         let dir =
@@ -614,20 +564,17 @@ mod tests {
         assert!(matches!(e, CliError::Decode(_)), "{e:?}");
         assert_eq!(e.exit_code(), 5);
 
-        // Verifying a sharded sweep's base path expands to the shard
-        // siblings; a damaged shard fails the whole verification.
-        let base = dir.join("sweep.journal");
-        let header = |fp: u64| format!("rsg-sweep-journal\tv1\t{fp:016x}\t6\n");
-        std::fs::write(&base, header(0xabc)).unwrap();
-        let s0 = dir.join("sweep.journal.shard0-of-2");
-        let s1 = dir.join("sweep.journal.shard1-of-2");
-        std::fs::write(&s0, header(0xabc)).unwrap();
-        std::fs::write(&s1, header(0xabc)).unwrap();
-        let s = run_ok(&["store", "verify", base.to_str().unwrap()]);
-        assert_eq!(s.matches("OK").count(), 3, "{s}");
-        assert!(s.contains("shard0-of-2"), "{s}");
-        std::fs::write(&s1, "rsg-sweep-journal\tGARBAGE\n").unwrap();
-        let e = run_err(&["store", "verify", base.to_str().unwrap()]);
+        // A sweep journal verifies by its header; a damaged header is a
+        // corrupt artifact (4).
+        let sj = dir.join("sweep.journal");
+        std::fs::write(&sj, "rsg-sweep-journal\tv1\t0000000000000abc\t6\n").unwrap();
+        let s = run_ok(&["store", "verify", sj.to_str().unwrap()]);
+        assert!(
+            s.contains("sweep journal, fingerprint 0000000000000abc"),
+            "{s}"
+        );
+        std::fs::write(&sj, "rsg-sweep-journal\tGARBAGE\n").unwrap();
+        let e = run_err(&["store", "verify", sj.to_str().unwrap()]);
         assert_eq!(e.exit_code(), 4, "{e:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -8,9 +8,7 @@
 use rsg_dag::Dag;
 use rsg_obs::Counter;
 use rsg_platform::ResourceCollection;
-use rsg_sched::{
-    evaluate, evaluate_prefix, evaluate_reference, HeuristicKind, SchedTimeModel, TurnaroundReport,
-};
+use rsg_sched::{evaluate, evaluate_prefix, evaluate_reference, HeuristicKind, SchedTimeModel};
 use std::collections::HashMap;
 
 /// [`CurveEvaluator`] lookups served from the per-size memo.
@@ -235,12 +233,6 @@ impl<'a> CurveEvaluator<'a> {
         points.dedup_by_key(|&mut (s, _)| s);
         Curve { points }
     }
-}
-
-/// Full report (not just the mean) for a single DAG at one size.
-pub fn report_at(dag: &Dag, size: usize, cfg: &CurveConfig) -> TurnaroundReport {
-    let rc = cfg.rc_family.build(size);
-    evaluate(dag, &rc, cfg.heuristic, &cfg.time_model)
 }
 
 /// Samples a turnaround curve for a set of DAG instances over the

@@ -67,8 +67,7 @@ pub use curve::{turnaround_curve, Curve, CurveConfig, CurveEvaluator, RcFamily};
 pub use heurmodel::HeuristicPredictionModel;
 pub use knee::find_knee;
 pub use observation::{
-    measure_checkpointed, measure_shard, merge_shards, shard_journal_path, sweep_fingerprint,
-    CheckpointConfig, KneeTable, ObservationGrid, ShardSpec,
+    measure_checkpointed, sweep_fingerprint, CheckpointConfig, KneeTable, ObservationGrid,
 };
 pub use planefit::PlaneFit;
 pub use push::{

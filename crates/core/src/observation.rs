@@ -11,10 +11,10 @@
 //! (`sweep`) streams the cells a run still owes through those steps
 //! in waves of a few cells per worker thread, dropping each wave's DAGs
 //! before generating the next, so memory holds a wave rather than the
-//! grid. [`measure`], the checkpointed and sharded drivers and the
-//! platform-aware sweep of [`crate::push`] are thin callers of it; the
-//! push engine keeps its cells and recomputes them through the same
-//! steps (`evaluate_cells`).
+//! grid. [`measure`], the checkpointed driver and the platform-aware
+//! sweep of [`crate::push`] are thin callers of it; the push engine
+//! keeps its cells and recomputes them through the same steps
+//! (`evaluate_cells`).
 
 use crate::curve::{mean_turnaround_reference, size_ladder, Curve, CurveConfig};
 use crate::knee::{find_knee, refine_knee};
@@ -26,7 +26,7 @@ use rsg_platform::ResourceCollection;
 use rsg_sched::evaluate_prefix;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// DAG instances generated for grid cells ([`Cell::generate`]).
 static OBS_DAGS: Counter = Counter::new("core.sweep.dags_generated");
@@ -36,8 +36,6 @@ static OBS_LADDER_EVALS: Counter = Counter::new("core.sweep.ladder_evals");
 static OBS_REFINE_EVALS: Counter = Counter::new("core.sweep.refine_evals");
 /// Knee-refinement probes served from the per-cell memo.
 static OBS_MEMO_HITS: Counter = Counter::new("core.sweep.memo_hits");
-/// Cells computed by sharded sweep workers ([`measure_shard`]).
-static OBS_SHARD_CELLS: Counter = Counter::new("core.sweep.shard_cells");
 
 /// The observation-grid axes (Table V-1) and instance count.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,27 +145,6 @@ pub struct KneeTable {
 }
 
 impl KneeTable {
-    /// Rebuilds a table from its parts (the persistence path); the knee
-    /// vector must be in grid-index order and cover every cell.
-    pub fn from_parts(
-        grid: ObservationGrid,
-        theta: f64,
-        knees: Vec<f64>,
-    ) -> Result<KneeTable, StoreError> {
-        if knees.len() != grid.cells() {
-            return Err(StoreError::parse(
-                "knee-table",
-                1,
-                format!(
-                    "knee table has {} values for a {}-cell grid",
-                    knees.len(),
-                    grid.cells()
-                ),
-            ));
-        }
-        Ok(KneeTable { grid, theta, knees })
-    }
-
     /// The raw knee values in grid-index order (see
     /// [`ObservationGrid::cells`]).
     pub fn knees(&self) -> &[f64] {
@@ -389,8 +366,7 @@ fn wave_cells() -> usize {
     4 * rayon::current_num_threads()
 }
 
-/// The one sweep driver behind [`measure`], [`measure_checkpointed`],
-/// [`measure_shard`] and
+/// The one sweep driver behind [`measure`], [`measure_checkpointed`] and
 /// [`measure_on_platform`](crate::push::measure_on_platform).
 ///
 /// Yields each cell of `owed` (grid-cell indices), in that order, with
@@ -484,24 +460,21 @@ pub fn measure(
 pub const SWEEP_CODE_VERSION: &str = "sweep-v1";
 
 /// Identity of one sweep: grid, curve configuration, threshold ladder,
-/// refinement depth, the observability configuration, and
-/// [`SWEEP_CODE_VERSION`]. A checkpoint journal records this digest in
-/// its header; on restart a mismatch quarantines the journal instead of
-/// resuming cells that no longer mean the same thing. The sweep cache
-/// in `rsg-bench` keys its entries off the same digest.
+/// refinement depth and [`SWEEP_CODE_VERSION`] — the inputs that decide
+/// what a journaled cell's knees are, and nothing else. A checkpoint
+/// journal records this digest in its header; on restart a mismatch
+/// quarantines the journal instead of resuming cells that no longer
+/// mean the same thing. Whether observability is on is deliberately not
+/// an input: a journal written with `--report` or `--trace` resumes
+/// without them and vice versa (a resumed run reports the cells it
+/// replayed, `core.store.cells_resumed`, and no sweep work).
 pub fn sweep_fingerprint(
     grid: &ObservationGrid,
     cfg: &CurveConfig,
     thetas: &[f64],
     refine_rounds: u32,
 ) -> u64 {
-    fnv1a(
-        format!(
-            "{SWEEP_CODE_VERSION}|{grid:?}|{cfg:?}|{thetas:?}|{refine_rounds}|{}",
-            rsg_obs::config_fingerprint()
-        )
-        .as_bytes(),
-    )
+    fnv1a(format!("{SWEEP_CODE_VERSION}|{grid:?}|{cfg:?}|{thetas:?}|{refine_rounds}").as_bytes())
 }
 
 /// Configuration for a checkpointed sweep ([`measure_checkpointed`]).
@@ -543,32 +516,6 @@ pub fn measure_checkpointed(
     checkpoint: &CheckpointConfig,
 ) -> Result<Vec<KneeTable>, StoreError> {
     let _sweep = rsg_obs::span("sweep_checkpointed");
-    let all = (0..grid.cells()).collect();
-    let (done, _) = sweep_journaled(grid, cfg, thetas, refine_rounds, checkpoint, all, None)?;
-    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); grid.cells()];
-    for (c, knees) in done {
-        per_cell[c] = knees;
-    }
-    Ok(assemble_tables(grid, &cell_list(grid), &per_cell, thetas))
-}
-
-/// The journaled driver behind [`measure_checkpointed`] and
-/// [`measure_shard`]: replays `checkpoint`'s journal, sweeps the cells
-/// of `mine` it does not hold yet (at most `checkpoint.cell_budget` of
-/// them, in order), and journals each as it lands, counting it in
-/// `landed` if given.
-/// Returns every cell the journal now holds and how many this call
-/// computed, or [`StoreError::Aborted`] (counts relative to `mine`) when
-/// the budget stopped it short.
-fn sweep_journaled(
-    grid: &ObservationGrid,
-    cfg: &CurveConfig,
-    thetas: &[f64],
-    refine_rounds: u32,
-    checkpoint: &CheckpointConfig,
-    mine: Vec<usize>,
-    landed: Option<&'static Counter>,
-) -> Result<(HashMap<usize, Vec<f64>>, usize), StoreError> {
     // Open (replay) the journal first: a stale fingerprint quarantines
     // it before any compute is spent.
     let journal = SweepJournal::open(
@@ -577,138 +524,31 @@ fn sweep_journaled(
         thetas.len(),
     )?;
     let mut done = journal.completed().clone();
-    let total = mine.len();
-    let mut owed: Vec<usize> = mine.into_iter().filter(|c| !done.contains_key(c)).collect();
+    let mut owed: Vec<usize> = (0..grid.cells())
+        .filter(|c| !done.contains_key(c))
+        .collect();
     let budget = checkpoint.cell_budget.unwrap_or(usize::MAX);
     let truncated = budget < owed.len();
     owed.truncate(budget);
-    let computed = owed.len();
 
     let rc = family_rc(grid, cfg);
     for (c, _, knees) in sweep(grid, cfg, thetas, refine_rounds, owed, |_| {
         Cow::Borrowed(&rc)
     }) {
         journal.append(c, &knees)?;
-        if let Some(counter) = landed {
-            counter.incr();
-        }
         done.insert(c, knees);
     }
     if truncated {
         return Err(StoreError::Aborted {
             completed: done.len(),
-            total,
+            total: grid.cells(),
         });
     }
-    Ok((done, computed))
-}
-
-/// One worker's slice of a sharded sweep: shard `index` of `count`.
-///
-/// Shards partition the cell list by `cell_index % count`, so every
-/// shard gets a representative mix of cheap and expensive cells (the
-/// cell list is ordered size-major, and size dominates cell cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// This worker's shard, `0 ≤ index < count`.
-    pub index: usize,
-    /// Total number of shards.
-    pub count: usize,
-}
-
-/// The journal a shard appends to: `<base>.shard<i>-of-<N>`. Keeping
-/// one journal per shard means workers in different OS processes never
-/// contend on a file; the journals are the *only* coordination between
-/// them.
-pub fn shard_journal_path(base: &Path, shard: ShardSpec) -> PathBuf {
-    let name = base.file_name().map_or_else(
-        || "sweep.journal".to_string(),
-        |s| s.to_string_lossy().into_owned(),
-    );
-    base.with_file_name(format!("{name}.shard{}-of-{}", shard.index, shard.count))
-}
-
-/// Computes one shard's missing cells and journals each as it lands;
-/// returns the number of cells computed by this call. Safe to run
-/// concurrently with the other shards from separate OS processes: every
-/// worker generates only the cells it owns (a disjoint subset), and
-/// appends to its own journal (same fingerprint discipline as
-/// [`measure_checkpointed`], so a stale shard journal quarantines
-/// rather than resumes). A killed worker loses at most its in-flight
-/// wave; re-running the shard resumes from its journal.
-/// `checkpoint.cell_budget` bounds the cells computed in this call and
-/// aborts with [`StoreError::Aborted`] (counts relative to the shard's
-/// own cell set) — the fault-injection hook for kill-and-resume tests.
-pub fn measure_shard(
-    grid: &ObservationGrid,
-    cfg: &CurveConfig,
-    thetas: &[f64],
-    refine_rounds: u32,
-    checkpoint: &CheckpointConfig,
-    shard: ShardSpec,
-) -> Result<usize, StoreError> {
-    assert!(
-        shard.count > 0 && shard.index < shard.count,
-        "invalid shard {}/{}",
-        shard.index,
-        shard.count
-    );
-    let _sweep = rsg_obs::span("sweep_shard");
-    let mine = (shard.index..grid.cells()).step_by(shard.count).collect();
-    let checkpoint = CheckpointConfig {
-        journal_path: shard_journal_path(&checkpoint.journal_path, shard),
-        cell_budget: checkpoint.cell_budget,
-    };
-    let (_, computed) = sweep_journaled(
-        grid,
-        cfg,
-        thetas,
-        refine_rounds,
-        &checkpoint,
-        mine,
-        Some(&OBS_SHARD_CELLS),
-    )?;
-    Ok(computed)
-}
-
-/// Merges the `count` shard journals of a sharded sweep into knee
-/// tables. Every cell must be present in some shard journal (shards are
-/// disjoint, so exactly one); otherwise returns [`StoreError::Aborted`]
-/// with the coverage so the caller can rerun the incomplete shards.
-/// Because each cell's result is computed by the same code over
-/// deterministically regenerated inputs, the merged tables are
-/// bit-identical to a single-process [`measure`] run — asserted by
-/// `tests/sweep_shard.rs`.
-pub fn merge_shards(
-    grid: &ObservationGrid,
-    cfg: &CurveConfig,
-    thetas: &[f64],
-    refine_rounds: u32,
-    base: &Path,
-    count: usize,
-) -> Result<Vec<KneeTable>, StoreError> {
-    let cells = cell_list(grid);
-    let fp = sweep_fingerprint(grid, cfg, thetas, refine_rounds);
-    let mut per_cell: Vec<Option<Vec<f64>>> = vec![None; cells.len()];
-    let mut found = 0usize;
-    for index in 0..count {
-        let path = shard_journal_path(base, ShardSpec { index, count });
-        let journal = SweepJournal::open(&path, fp, thetas.len())?;
-        for (&c, knees) in journal.completed() {
-            if c < per_cell.len() && per_cell[c].is_none() {
-                found += 1;
-                per_cell[c] = Some(knees.clone());
-            }
-        }
+    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); grid.cells()];
+    for (c, knees) in done {
+        per_cell[c] = knees;
     }
-    if found < cells.len() {
-        return Err(StoreError::Aborted {
-            completed: found,
-            total: cells.len(),
-        });
-    }
-    let per_cell: Vec<Vec<f64>> = per_cell.into_iter().map(Option::unwrap).collect();
-    Ok(assemble_tables(grid, &cells, &per_cell, thetas))
+    Ok(assemble_tables(grid, &cell_list(grid), &per_cell, thetas))
 }
 
 /// The unoptimized observation sweep: parallel over cells only, a fresh
@@ -880,98 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_shards_partition_and_merge_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("rsg_shard_unit_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let grid = ObservationGrid::tiny();
-        let cfg = CurveConfig::default();
-        let thetas = [0.001, 0.05];
-        let plain = measure(&grid, &cfg, &thetas, 2);
-
-        // Merge with no shard journals present: clean abort, not a panic.
-        let base = dir.join("sweep.journal");
-        let err = merge_shards(&grid, &cfg, &thetas, 2, &base, 2).unwrap_err();
-        assert!(matches!(
-            err,
-            StoreError::Aborted {
-                completed: 0,
-                total
-            } if total == grid.cells()
-        ));
-
-        // Two in-process shards: disjoint, covering, and the merged
-        // tables are bit-identical to the single-process sweep.
-        let ckpt = CheckpointConfig::new(base.clone());
-        let n0 = measure_shard(
-            &grid,
-            &cfg,
-            &thetas,
-            2,
-            &ckpt,
-            ShardSpec { index: 0, count: 2 },
-        )
-        .unwrap();
-        let n1 = measure_shard(
-            &grid,
-            &cfg,
-            &thetas,
-            2,
-            &ckpt,
-            ShardSpec { index: 1, count: 2 },
-        )
-        .unwrap();
-        assert_eq!(n0 + n1, grid.cells());
-        assert!(n0 > 0 && n1 > 0, "both shards should own cells");
-        let merged = merge_shards(&grid, &cfg, &thetas, 2, &base, 2).unwrap();
-        assert_eq!(merged, plain);
-
-        // Re-running a shard is a no-op resume.
-        let again = measure_shard(
-            &grid,
-            &cfg,
-            &thetas,
-            2,
-            &ckpt,
-            ShardSpec { index: 0, count: 2 },
-        )
-        .unwrap();
-        assert_eq!(again, 0);
-
-        // A budget-limited shard aborts with counts relative to its own
-        // cell set, then resumes to completion.
-        let mut limited = CheckpointConfig::new(dir.join("limited.journal"));
-        limited.cell_budget = Some(1);
-        let err = measure_shard(
-            &grid,
-            &cfg,
-            &thetas,
-            2,
-            &limited,
-            ShardSpec { index: 1, count: 2 },
-        )
-        .unwrap_err();
-        match err {
-            StoreError::Aborted { completed, total } => {
-                assert_eq!(completed, 1);
-                assert_eq!(total, n1);
-            }
-            other => panic!("expected an abort, got {other:?}"),
-        }
-        limited.cell_budget = None;
-        let rest = measure_shard(
-            &grid,
-            &cfg,
-            &thetas,
-            2,
-            &limited,
-            ShardSpec { index: 1, count: 2 },
-        )
-        .unwrap();
-        assert_eq!(rest, n1 - 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn sweep_fingerprint_tracks_inputs() {
         let grid = ObservationGrid::tiny();
         let cfg = CurveConfig::default();
@@ -982,21 +730,6 @@ mod tests {
         let mut other = grid.clone();
         other.instances += 1;
         assert_ne!(base, sweep_fingerprint(&other, &cfg, &[0.001], 0));
-    }
-
-    #[test]
-    fn sweep_fingerprint_tracks_obs_config() {
-        // A journal replayed into an instrumented sweep records no
-        // counters or spans, so instrumented and uninstrumented sweeps
-        // must not share one.
-        let _guard = rsg_obs::test_guard();
-        let grid = ObservationGrid::tiny();
-        let cfg = CurveConfig::default();
-        let off = sweep_fingerprint(&grid, &cfg, &[0.05], 1);
-        rsg_obs::enable(true);
-        let on = sweep_fingerprint(&grid, &cfg, &[0.05], 1);
-        rsg_obs::enable(false);
-        assert_ne!(off, on);
     }
 
     #[test]

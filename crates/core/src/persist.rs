@@ -23,7 +23,7 @@
 //!
 //! On disk a payload only ever travels inside the checksummed
 //! `rsg-artifact` envelope of [`crate::store`], tagged with its kind
-//! ([`SIZE_MODEL_KIND`], [`HEUR_MODEL_KIND`], [`KNEE_TABLES_KIND`]);
+//! ([`SIZE_MODEL_KIND`], [`HEUR_MODEL_KIND`]);
 //! byte-level damage is caught before these decoders ever run. A bare
 //! payload file is not an artifact and no loader accepts it.
 //! [`load_model_dir`] is the one rule that finds a deployment's models.
@@ -346,8 +346,8 @@ impl crate::observation::KneeTable {
     /// end
     /// ```
     ///
-    /// Floats print in shortest-round-trip form, so a decode restores
-    /// them bit-for-bit.
+    /// Floats print in shortest-round-trip form, so two tables
+    /// serialize equal exactly when their knees are bit-identical.
     pub fn to_tsv(&self) -> String {
         let g = &self.grid;
         let mut out = String::from("rsg-knee-table\tv1\n");
@@ -376,120 +376,12 @@ impl crate::observation::KneeTable {
         out.push_str("end\n");
         out
     }
-
-    /// Decodes one knee-table section starting at `lines`; returns the
-    /// table and the number of lines consumed. Parse errors report
-    /// 1-based line numbers relative to the start of the slice.
-    pub fn from_tsv_lines(
-        lines: &[&str],
-    ) -> Result<(crate::observation::KneeTable, usize), StoreError> {
-        use crate::observation::{KneeTable, ObservationGrid};
-        const ART: &str = "knee-table";
-        let mut i = 0usize;
-        let next = |i: &mut usize| -> Result<&str, StoreError> {
-            let l = lines
-                .get(*i)
-                .ok_or_else(|| StoreError::parse(ART, *i + 1, "unexpected end of document"))?;
-            *i += 1;
-            Ok(l)
-        };
-        let header = next(&mut i)?;
-        if !header.starts_with("rsg-knee-table\tv1") {
-            return Err(StoreError::parse(ART, i, format!("bad header '{header}'")));
-        }
-        let field = |line: &str, lno: usize, tag: &str| -> Result<Vec<f64>, StoreError> {
-            line.strip_prefix(tag)
-                .ok_or_else(|| StoreError::parse(ART, lno, format!("missing {tag}")))?
-                .split('\t')
-                .filter(|s| !s.is_empty())
-                .map(|s| {
-                    s.parse::<f64>()
-                        .map_err(|_| StoreError::parse(ART, lno, format!("bad {tag} value '{s}'")))
-                })
-                .collect()
-        };
-        let theta = *field(next(&mut i)?, i, "theta")?
-            .first()
-            .ok_or_else(|| StoreError::parse(ART, i, "missing theta"))?;
-        let sizes: Vec<usize> = field(next(&mut i)?, i, "sizes")?
-            .into_iter()
-            .map(|s| s as usize)
-            .collect();
-        let ccrs = field(next(&mut i)?, i, "ccrs")?;
-        let alphas = field(next(&mut i)?, i, "alphas")?;
-        let betas = field(next(&mut i)?, i, "betas")?;
-        let grid_line = field(next(&mut i)?, i, "grid")?;
-        if grid_line.len() != 3 {
-            return Err(StoreError::parse(ART, i, "grid line needs 3 values"));
-        }
-        let grid = ObservationGrid {
-            sizes,
-            ccrs,
-            alphas,
-            betas,
-            density: grid_line[0],
-            mean_comp: grid_line[1],
-            instances: grid_line[2] as usize,
-        };
-        let knees = field(next(&mut i)?, i, "knees")?;
-        if next(&mut i)? != "end" {
-            return Err(StoreError::parse(ART, i, "missing end"));
-        }
-        let table =
-            KneeTable::from_parts(grid, theta, knees).map_err(|e| e.with_line_offset(i - 1))?;
-        Ok((table, i))
-    }
 }
 
 /// Serializes measured knee tables (one section per threshold, in the
-/// given order).
-///
-/// Round-trips through [`knee_tables_from_tsv`]:
-///
-/// ```
-/// use rsg_core::observation::{KneeTable, ObservationGrid};
-/// use rsg_core::persist::{knee_tables_from_tsv, knee_tables_to_tsv};
-///
-/// let grid = ObservationGrid {
-///     sizes: vec![100],
-///     ccrs: vec![0.1],
-///     alphas: vec![0.5],
-///     betas: vec![0.5],
-///     density: 0.5,
-///     mean_comp: 10.0,
-///     instances: 1,
-/// };
-/// let table = KneeTable::from_parts(grid, 0.05, vec![24.0]).unwrap();
-/// let tsv = knee_tables_to_tsv(std::slice::from_ref(&table));
-/// assert_eq!(knee_tables_from_tsv(&tsv).unwrap(), vec![table]);
-/// ```
+/// given order; see [`KneeTable::to_tsv`](crate::observation::KneeTable::to_tsv)).
 pub fn knee_tables_to_tsv(tables: &[crate::observation::KneeTable]) -> String {
     tables.iter().map(|t| t.to_tsv()).collect()
-}
-
-/// Decodes a knee-table document, preserving section order.
-pub fn knee_tables_from_tsv(text: &str) -> Result<Vec<crate::observation::KneeTable>, StoreError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let mut tables = Vec::new();
-    let mut pos = 0usize;
-    while pos < lines.len() {
-        if lines[pos].trim().is_empty() {
-            pos += 1;
-            continue;
-        }
-        let (t, used) = crate::observation::KneeTable::from_tsv_lines(&lines[pos..])
-            .map_err(|e| e.with_line_offset(pos))?;
-        tables.push(t);
-        pos += used;
-    }
-    if tables.is_empty() {
-        return Err(StoreError::parse(
-            "knee-table",
-            1,
-            "no knee tables in document",
-        ));
-    }
-    Ok(tables)
 }
 
 /// Artifact kind recorded in size-model envelopes (`rsg train --out`).
@@ -498,10 +390,6 @@ pub const SIZE_MODEL_KIND: &str = "size-model";
 /// Artifact kind recorded in heuristic-model envelopes
 /// (`rsg train-heuristic --out`).
 pub const HEUR_MODEL_KIND: &str = "heur-model";
-
-/// Artifact kind recorded in knee-table envelopes (the experiment
-/// sweep cache).
-pub const KNEE_TABLES_KIND: &str = "knee-tables";
 
 /// Loads a [`ThresholdedSizeModel`] from its envelope on disk.
 pub fn load_size_model(path: &Path) -> Result<ThresholdedSizeModel, StoreError> {
@@ -697,43 +585,6 @@ mod tests {
             "rsg-heur-model\tv1\nsizes\t10\nccrs\t0.1\ncell\t0\t0\tBogus:1\nend\n"
         )
         .is_err());
-    }
-
-    #[test]
-    fn knee_tables_round_trip_bitwise() {
-        let grid = ObservationGrid::tiny();
-        let tables = measure(&grid, &CurveConfig::default(), &[0.001, 0.05], 2);
-        let text = knee_tables_to_tsv(&tables);
-        let back = knee_tables_from_tsv(&text).unwrap();
-        // The decode must restore every field — grid, theta, knees —
-        // exactly, preserving the threshold order.
-        assert_eq!(back, tables);
-    }
-
-    #[test]
-    fn knee_tables_corrupt_rejected() {
-        assert!(knee_tables_from_tsv("").is_err());
-        assert!(knee_tables_from_tsv("garbage\tv1\n").is_err());
-        let grid = ObservationGrid::tiny();
-        let tables = measure(&grid, &CurveConfig::default(), &[0.001], 0);
-        let good = knee_tables_to_tsv(&tables);
-        // Drop one knee value -> cell-count mismatch.
-        let truncated: String = good
-            .lines()
-            .map(|l| {
-                if let Some(rest) = l.strip_prefix("knees") {
-                    let mut vals: Vec<&str> = rest.split('\t').filter(|s| !s.is_empty()).collect();
-                    vals.pop();
-                    format!("knees\t{}", vals.join("\t"))
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(knee_tables_from_tsv(&truncated).is_err());
-        // A missing terminator is rejected too.
-        assert!(knee_tables_from_tsv(good.trim_end_matches("end\n")).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Crash-safe artifact store: checksummed envelopes, atomic writes,
 //! quarantine, and the line journals.
 //!
-//! Every durable artifact the pipeline writes (trained models, knee
-//! tables, journals) goes through this module so that a
+//! Every durable artifact the pipeline writes (trained models,
+//! journals) goes through this module so that a
 //! crash, preemption or partial write can never leave a corrupt file
 //! that is later *trusted*. The discipline is the one long-lived Condor
 //! daemons use: write to a temporary file, fsync, rename into place,
@@ -138,7 +138,7 @@ pub enum StoreError {
     },
     /// A payload section failed to parse.
     Parse {
-        /// Artifact family (`"size-model"`, `"knee-table"`, …).
+        /// Artifact family (`"size-model"`, `"heur-model"`, …).
         artifact: &'static str,
         /// 1-based line number within the document.
         line: usize,
@@ -994,9 +994,9 @@ mod tests {
     fn atomic_write_and_read_back() {
         let dir = tmpdir("atomic");
         let path = dir.join("artifact.tsv");
-        write_atomic(&path, "knee-tables", "some\tpayload\n").unwrap();
+        write_atomic(&path, "heur-model", "some\tpayload\n").unwrap();
         assert_eq!(
-            read_artifact(&path, "knee-tables").unwrap(),
+            read_artifact(&path, "heur-model").unwrap(),
             "some\tpayload\n"
         );
         // Wrong kind is a typed error.

@@ -102,12 +102,6 @@ impl MixedDag {
             .collect()
     }
 
-    /// Total core-seconds of perfectly-parallel work (lower bound on
-    /// aggregate usage).
-    pub fn total_core_work(&self) -> f64 {
-        self.dag.tasks().map(|t| self.dag.comp(t)).sum()
-    }
-
     /// Serialized makespan lower bound on unlimited clusters at the
     /// reference clock: the critical path with every task at full
     /// parallel speedup.

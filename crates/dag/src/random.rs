@@ -42,19 +42,6 @@ pub struct RandomDagSpec {
 }
 
 impl RandomDagSpec {
-    /// The paper's default random-DAG configuration (Table IV-3 defaults,
-    /// scaled to Chapter V's usual mean computational cost of 40 s).
-    pub fn paper_default() -> RandomDagSpec {
-        RandomDagSpec {
-            size: 4469,
-            ccr: 1.0,
-            parallelism: 0.5,
-            density: 0.5,
-            regularity: 0.5,
-            mean_comp: 40.0,
-        }
-    }
-
     /// Mean tasks per level `τ = n^α`.
     pub fn tau(&self) -> f64 {
         (self.size as f64).powf(self.parallelism).max(1.0)

@@ -91,19 +91,6 @@ pub fn trace_enabled() -> bool {
     TRACE.load(Ordering::Relaxed)
 }
 
-/// A short fingerprint of the current observability configuration
-/// (`"off"`, `"on"` or `"on+trace"`). Cache keys that guard derived
-/// artifacts of instrumented computations should include it: a sweep
-/// served from cache records nothing, so an observed run must not
-/// share a cache entry with an unobserved one.
-pub fn config_fingerprint() -> &'static str {
-    match (enabled(), trace_enabled()) {
-        (false, _) => "off",
-        (true, false) => "on",
-        (true, true) => "on+trace",
-    }
-}
-
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
@@ -244,21 +231,6 @@ pub(crate) fn registry() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_tracks_configuration() {
-        let _guard = test_guard();
-        enable(false);
-        set_trace(false);
-        assert_eq!(config_fingerprint(), "off");
-        enable(true);
-        assert_eq!(config_fingerprint(), "on");
-        set_trace(true);
-        assert_eq!(config_fingerprint(), "on+trace");
-        set_trace(false);
-        enable(false);
-        reset();
-    }
 
     #[test]
     fn reset_survives_reuse() {

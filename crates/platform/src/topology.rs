@@ -74,8 +74,6 @@ pub struct Topology {
     tree_lat: Vec<f64>,
     /// Depth of each node in the tree.
     depth: Vec<u32>,
-    /// Total number of raw generated links (before tree reduction).
-    raw_links: usize,
 }
 
 impl TopologySpec {
@@ -130,7 +128,6 @@ impl TopologySpec {
 
         // Guarantee connectivity: chain any component gaps along node
         // order with a modest link.
-        let raw_links = edges.len();
         let tree = maximum_spanning_tree(n, &mut edges, &pos);
         Topology {
             nodes: n,
@@ -138,7 +135,6 @@ impl TopologySpec {
             tree_cap: tree.1,
             tree_lat: tree.2,
             depth: tree.3,
-            raw_links,
         }
     }
 
@@ -288,11 +284,6 @@ impl Topology {
     /// True when the topology has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes == 0
-    }
-
-    /// Number of links generated before the spanning-tree reduction.
-    pub fn raw_link_count(&self) -> usize {
-        self.raw_links
     }
 
     /// Achievable (bottleneck) bandwidth between two nodes, bps.

@@ -23,7 +23,7 @@ use crate::lifecycle::Lifecycle;
 use crate::push::{PushTracker, SubmitError, SubmitOutcome};
 use crate::registry::{Generation, ModelRegistry, ModelStore, ReloadOutcome};
 use crate::shed::{ShedLevel, ShedState, SHED_DEGRADED, SHED_EARLY};
-use rsg_analyze::{AnalysisReport, DeltaDiagnostic, Diagnostic, Input};
+use rsg_analyze::{DeltaDiagnostic, Diagnostic, Input};
 use rsg_core::alternative::{alternatives, attempt_from_outcome, negotiate_with_retry};
 use rsg_core::curve::CurveConfig;
 use rsg_core::heurmodel::HeuristicPredictionModel;
@@ -143,13 +143,6 @@ impl ServerContext {
             Some(Ok(t)) => Some(t.staleness()),
             _ => None,
         }
-    }
-
-    /// Test hook: force-builds the tracker so staleness paths can be
-    /// exercised without a real delta batch.
-    #[doc(hidden)]
-    pub fn force_tracker(&self) -> Result<&PushTracker, &str> {
-        self.tracker()
     }
 
     /// The per-request wall-clock budget used when a request body does
@@ -1321,13 +1314,6 @@ pub fn bad_request_response(e: &crate::http::HttpError) -> HttpResponse {
         ),
         other => error(400, "usage", &other.to_string(), &[]),
     }
-}
-
-/// Re-exported for tests: did the report rejct anything? (Unused in
-/// production paths.)
-#[doc(hidden)]
-pub fn analysis_is_clean(report: &AnalysisReport) -> bool {
-    report.errors() == 0
 }
 
 #[cfg(test)]

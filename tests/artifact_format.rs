@@ -1,11 +1,9 @@
-//! One artifact format, one discovery rule: models and knee tables
-//! exist on disk only as `rsg-artifact` envelopes, and the serving
+//! One artifact format, one discovery rule: models exist on disk only
+//! as `rsg-artifact` envelopes, and the serving
 //! registry, `rsg audit`, `--preflight` and the CLI loaders agree on
 //! which file is the model and whether it loads.
 
 use rsg::analyze::{audit_tree, Code};
-use rsg::core::observation::{KneeTable, ObservationGrid};
-use rsg::core::persist::{knee_tables_to_tsv, KNEE_TABLES_KIND};
 use rsg::core::{store, StoreError};
 use rsg::serve::ModelRegistry;
 use rsg_cli::CliError;
@@ -181,29 +179,30 @@ fn bare_model_is_refused_by_every_path() {
     assert_eq!(r.unwrap_err().exit_code(), 4);
 }
 
+/// No program writes `knee-tables` envelopes any more, so the audit
+/// treats one like any other unknown kind: intact or damaged, AUDIT002.
 #[test]
 fn knee_tables_envelope_audits_clean_and_damage_is_audit002() {
     let root = tree("knees", &[("models/size_model.tsv", true)], &[]);
-    let grid = ObservationGrid {
-        sizes: vec![100],
-        ccrs: vec![0.1],
-        alphas: vec![0.5],
-        betas: vec![0.5],
-        density: 0.5,
-        mean_comp: 10.0,
-        instances: 1,
-    };
-    let table = KneeTable::from_parts(grid, 0.05, vec![24.0]).unwrap();
     let path = root.join("knee_tables.tsv");
-    store::write_atomic(&path, KNEE_TABLES_KIND, &knee_tables_to_tsv(&[table])).unwrap();
+    let table = "rsg-knee-table\tv1\ntheta\t0.05\nsizes\t100\nccrs\t0.1\nalphas\t0.5\n\
+                 betas\t0.5\ngrid\t0.5\t10\t1\nknees\t24\nend\n";
+    store::write_atomic(&path, "knee-tables", table).unwrap();
 
     let (r, out) = run(&["store", "verify", path.to_str().unwrap()]);
     r.unwrap();
     assert!(out.contains("artifact 'knee-tables'"), "{out}");
     let audit = audit_tree(&root).unwrap();
-    assert!(audit.is_clean(), "{}", audit.to_human());
+    assert_eq!(audit.codes(), vec![Code::Audit002], "{}", audit.to_human());
+    assert!(
+        audit
+            .to_human()
+            .contains("unknown artifact kind 'knee-tables'"),
+        "{}",
+        audit.to_human()
+    );
 
-    // Flip one payload byte: the checksum catches it.
+    // Flip one payload byte: the checksum catches it, still AUDIT002.
     let mut bytes = std::fs::read(&path).unwrap();
     let n = bytes.len();
     bytes[n - 2] ^= 0x01;

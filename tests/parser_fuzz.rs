@@ -1,11 +1,10 @@
 //! Fuzz-style property tests: every parser and decoder that touches
-//! persisted bytes — specification parsers, the DAG reader, model and
-//! knee-table decoders, store envelopes and sweep journals — must
+//! persisted bytes — specification parsers, the DAG reader, model
+//! decoders, store envelopes and sweep journals — must
 //! return a typed error, never panic, on arbitrary input, including
 //! inputs derived from valid documents by truncation or mutation.
 
 use proptest::prelude::*;
-use rsg::core::persist::knee_tables_from_tsv;
 use rsg::core::store;
 use rsg::select::classad::parse_classad;
 use rsg::select::sword::parse_sword;
@@ -36,22 +35,8 @@ impl IoRead for Torn<'_> {
     }
 }
 
-/// A valid single-table knee document (built once, deterministically).
-fn valid_knee_doc() -> String {
-    use rsg::core::observation::{KneeTable, ObservationGrid};
-    let grid = ObservationGrid {
-        sizes: vec![50, 100],
-        ccrs: vec![0.1],
-        alphas: vec![0.4, 0.7],
-        betas: vec![0.5],
-        density: 0.5,
-        mean_comp: 10.0,
-        instances: 1,
-    };
-    let knees = vec![4.0, 6.0, 8.0, 12.0];
-    let table = KneeTable::from_parts(grid, 0.05, knees).unwrap();
-    rsg::core::persist::knee_tables_to_tsv(std::slice::from_ref(&table))
-}
+/// A valid enveloped size model (the clean audit fixture's).
+const VALID_MODEL_ENVELOPE: &str = include_str!("fixtures/audit/clean/models/size_model.tsv");
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -122,13 +107,6 @@ proptest! {
         let _ = rsg::core::HeuristicPredictionModel::from_tsv(&s);
         let with_header = format!("rsg-size-model\tv1\n{s}");
         let _ = rsg::core::SizePredictionModel::from_tsv(&with_header);
-    }
-
-    #[test]
-    fn knee_table_decoder_never_panics(s in "[ -~\\n\\t]{0,300}") {
-        let _ = knee_tables_from_tsv(&s);
-        let with_header = format!("rsg-knee-table\tv1\n{s}");
-        let _ = knee_tables_from_tsv(&with_header);
     }
 
     #[test]
@@ -266,20 +244,20 @@ proptest! {
         cut in 0usize..600,
         insert in "[\\t\\na-z0-9.]{0,8}",
     ) {
-        // A valid knee-table doc and its envelope, spliced and cut at
+        // A valid size-model doc and its envelope, spliced and cut at
         // arbitrary points: decode must fail cleanly or succeed — never
         // panic, and a mutated *envelope* must never pass its checksum
         // unless the splice was a no-op.
-        let doc = valid_knee_doc();
-        let env = store::wrap_envelope("knee-tables", &doc);
-        for text in [&doc, &env] {
+        let env = VALID_MODEL_ENVELOPE;
+        let (_, doc) = store::unwrap_envelope(env).unwrap();
+        for text in [doc, env] {
             let cut = cut.min(text.len());
             if text.is_char_boundary(cut) {
                 let truncated = &text[..cut];
-                let _ = knee_tables_from_tsv(truncated);
+                let _ = rsg::core::ThresholdedSizeModel::from_tsv(truncated);
                 let _ = store::unwrap_envelope(truncated);
                 let mutated = format!("{}{}{}", &text[..cut], insert, &text[cut..]);
-                let _ = knee_tables_from_tsv(&mutated);
+                let _ = rsg::core::ThresholdedSizeModel::from_tsv(&mutated);
                 if !insert.is_empty() {
                     if let Ok((kind, payload)) = store::unwrap_envelope(&mutated) {
                         // The envelope checksum caught every real
@@ -287,7 +265,7 @@ proptest! {
                         // landed harmlessly (e.g. inside the header's
                         // kind field before re-deriving it is possible:
                         // kind may differ, payload must not).
-                        assert!(kind == "knee-tables" || payload == doc);
+                        assert!(kind == "size-model" || payload == doc);
                     }
                 }
             }

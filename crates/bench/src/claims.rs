@@ -19,6 +19,7 @@ pub const VALIDATION_MAX_DEGRADATION: f64 = 0.0193;
 pub fn violations(id: &str, output: &str) -> Vec<String> {
     match id {
         "fig5_4" => plane_fit(output),
+        "fig5_5" => knee_growth(output),
         "tab5_5" => validation_degradation(output),
         "tab6_4" => heuristic_verdicts(output),
         _ => Vec::new(),
@@ -40,6 +41,44 @@ fn plane_fit(output: &str) -> Vec<String> {
         )],
         None => vec!["Fig V-4: no readable planar-fit error line".to_string()],
     }
+}
+
+/// Figure V-5: the knee grows with DAG size for every β — each β column
+/// rises strictly from one size row to the next.
+fn knee_growth(output: &str) -> Vec<String> {
+    let title = "Figure V-5: knee vs DAG size (CCR=0.01, alpha=0.7)";
+    let (header, rows) = match csv_table(output, title) {
+        Ok(table) => table,
+        Err(v) => return vec![v],
+    };
+    if header.first() != Some(&"size") || header.len() < 2 || rows.len() < 2 {
+        return vec![format!(
+            "{title}: expected a size column, beta columns and at least two sizes, \
+             found {header:?} with {} rows",
+            rows.len()
+        )];
+    }
+    let mut violations = Vec::new();
+    for (c, &beta) in header.iter().enumerate().skip(1) {
+        let column: Option<Vec<(&str, f64)>> = rows
+            .iter()
+            .map(|r| Some((*r.first()?, r.get(c)?.parse().ok()?)))
+            .collect();
+        let Some(column) = column else {
+            violations.push(format!("{title}: unreadable {beta} column"));
+            continue;
+        };
+        for pair in column.windows(2) {
+            let ((n0, k0), (n1, k1)) = (pair[0], pair[1]);
+            if k1 <= k0 {
+                violations.push(format!(
+                    "Fig V-5: the {beta} knee does not grow with DAG size: {k0} at n={n0}, \
+                     {k1} at n={n1}"
+                ));
+            }
+        }
+    }
+    violations
 }
 
 /// Table V-5: no quadrant row averages more than the paper's worst
@@ -85,6 +124,26 @@ fn heuristic_verdicts(output: &str) -> Vec<String> {
     })
 }
 
+/// The header and rows of the CSV form of the table titled `title`; a
+/// missing table is a violation.
+fn csv_table<'a>(
+    output: &'a str,
+    title: &str,
+) -> Result<(Vec<&'a str>, Vec<Vec<&'a str>>), String> {
+    let heading = format!("== {title} ==");
+    let mut lines = output
+        .lines()
+        .skip_while(|l| *l != heading)
+        .skip_while(|l| *l != "--- csv ---")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split(',').collect::<Vec<_>>());
+    let header = lines
+        .next()
+        .ok_or_else(|| format!("{title}: table not found"))?;
+    Ok((header, lines.collect()))
+}
+
 /// Applies `check` to every row of the CSV form of the table titled
 /// `title`, with the row's cells in `columns` order; a missing table,
 /// column or cell is a violation.
@@ -94,16 +153,9 @@ fn check_rows(
     columns: &[&str],
     check: impl Fn(&[&str]) -> Option<String>,
 ) -> Vec<String> {
-    let heading = format!("== {title} ==");
-    let mut lines = output
-        .lines()
-        .skip_while(|l| *l != heading)
-        .skip_while(|l| *l != "--- csv ---")
-        .skip(1)
-        .take_while(|l| !l.is_empty())
-        .map(|l| l.split(',').collect::<Vec<_>>());
-    let Some(header) = lines.next() else {
-        return vec![format!("{title}: table not found")];
+    let (header, rows) = match csv_table(output, title) {
+        Ok(table) => table,
+        Err(v) => return vec![v],
     };
     let Some(index) = columns
         .iter()
@@ -115,9 +167,7 @@ fn check_rows(
         )];
     };
     let mut violations = Vec::new();
-    let mut rows = 0;
-    for row in lines {
-        rows += 1;
+    for row in &rows {
         match index
             .iter()
             .map(|&i| row.get(i).copied())
@@ -127,7 +177,7 @@ fn check_rows(
             None => violations.push(format!("{title}: short row {row:?}")),
         }
     }
-    if rows == 0 {
+    if rows.is_empty() {
         violations.push(format!("{title}: no rows"));
     }
     violations
@@ -211,6 +261,37 @@ mod tests {
             v,
             ["Table VI-4: n=447 CCR=0.255: predicted FCFS but MCP is best (7.00% degradation)"]
         );
+    }
+
+    #[test]
+    fn knee_growth_bound() {
+        let fig5_5 = |rows: &[[&str; 4]]| {
+            let mut t = Table::new(vec!["size", "beta=0.01", "beta=0.5", "beta=1"]);
+            for r in rows {
+                t.row(r.to_vec());
+            }
+            t.render("Figure V-5: knee vs DAG size (CCR=0.01, alpha=0.7)")
+        };
+        let pinned = [
+            ["100", "36", "29", "25"],
+            ["300", "133", "73", "50"],
+            ["800", "180", "133", "98"],
+        ];
+        assert!(violations("fig5_5", &fig5_5(&pinned)).is_empty());
+        let mut flat = pinned;
+        flat[2][2] = "73";
+        assert_eq!(
+            violations("fig5_5", &fig5_5(&flat)),
+            ["Fig V-5: the beta=0.5 knee does not grow with DAG size: 73 at n=300, 73 at n=800"]
+        );
+        let mut garbled = pinned;
+        garbled[1][3] = "-";
+        assert_eq!(
+            violations("fig5_5", &fig5_5(&garbled)),
+            ["Figure V-5: knee vs DAG size (CCR=0.01, alpha=0.7): unreadable beta=1 column"]
+        );
+        assert_eq!(violations("fig5_5", &fig5_5(&pinned[..1])).len(), 1);
+        assert_eq!(violations("fig5_5", "").len(), 1);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Minimal argument parsing: positionals plus `--flag value` options,
-//! with typed accessors (kept dependency-free on purpose).
+//! with typed accessors (kept dependency-free on purpose). The accessors
+//! record which options a command read, so it can reject the rest
+//! ([`Args::reject_unread`]) instead of silently ignoring a misspelt or
+//! unsupported option.
 
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Argument-parsing error.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,7 +16,9 @@ pub struct ArgError(pub String);
 pub struct Args {
     positionals: Vec<String>,
     options: BTreeMap<String, String>,
-    next_positional: usize,
+    next_positional: Cell<usize>,
+    /// Option keys looked up so far, present or not.
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -46,32 +52,45 @@ impl Args {
         Args {
             positionals,
             options,
-            next_positional: 0,
+            next_positional: Cell::new(0),
+            read: RefCell::default(),
         }
     }
 
     /// Whether a boolean flag was present.
     pub fn flag(&self, key: &str) -> bool {
-        self.options.contains_key(key)
+        self.opt(key).is_some()
+    }
+
+    /// Fails on the first option `command` has not read, naming both:
+    /// call it once the command has read every option it takes and
+    /// before it does any work.
+    pub fn reject_unread(&self, command: &str) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        match self.options.keys().find(|k| !read.contains(*k)) {
+            Some(key) => Err(ArgError(format!("'{command}' takes no option --{key}"))),
+            None => Ok(()),
+        }
     }
 
     /// Next positional argument, if any.
-    pub fn positional(&mut self) -> Option<String> {
-        let p = self.positionals.get(self.next_positional).cloned();
+    pub fn positional(&self) -> Option<String> {
+        let p = self.positionals.get(self.next_positional.get()).cloned();
         if p.is_some() {
-            self.next_positional += 1;
+            self.next_positional.set(self.next_positional.get() + 1);
         }
         p
     }
 
     /// Required positional with a descriptive error.
-    pub fn require_positional(&mut self, what: &str) -> Result<String, ArgError> {
+    pub fn require_positional(&self, what: &str) -> Result<String, ArgError> {
         self.positional()
             .ok_or_else(|| ArgError(format!("missing {what}")))
     }
 
     /// Optional string option.
     pub fn opt(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.options.get(key).map(String::as_str)
     }
 
@@ -112,7 +131,7 @@ mod tests {
 
     #[test]
     fn splits_positionals_and_options() {
-        let mut a = args(&["gen", "random", "--size", "100", "--out", "f.dag"]);
+        let a = args(&["gen", "random", "--size", "100", "--out", "f.dag"]);
         assert_eq!(a.positional().as_deref(), Some("gen"));
         assert_eq!(a.positional().as_deref(), Some("random"));
         assert_eq!(a.positional(), None);
@@ -128,7 +147,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let mut a = Args::new_with_flags(&v, &["trace"]);
+        let a = Args::new_with_flags(&v, &["trace"]);
         assert!(a.flag("trace"));
         assert!(!a.flag("report-missing"));
         assert_eq!(a.positional().as_deref(), Some("spec"));
@@ -144,8 +163,20 @@ mod tests {
     }
 
     #[test]
+    fn unread_options_are_rejected() {
+        let a = args(&["train", "--grid", "tiny", "--jounral", "j"]);
+        assert_eq!(a.opt("grid"), Some("tiny"));
+        assert_eq!(a.opt("journal"), None);
+        let e = a.reject_unread("train").unwrap_err();
+        assert_eq!(e.0, "'train' takes no option --jounral");
+        // Reading an option, present or not, accepts it.
+        assert_eq!(a.opt("jounral"), Some("j"));
+        assert!(a.reject_unread("train").is_ok());
+    }
+
+    #[test]
     fn require_positional_message() {
-        let mut a = args(&[]);
+        let a = args(&[]);
         let e = a.require_positional("input file").unwrap_err();
         assert!(e.0.contains("input file"));
     }

@@ -84,11 +84,14 @@ pub fn gen(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             )))
         }
     };
-    emit(args.opt("out"), &write_dag(&dag), out)
+    let path = args.opt("out");
+    args.reject_unread("gen")?;
+    emit(path, &write_dag(&dag), out)
 }
 
 /// `rsg stats FILE`
 pub fn stats(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
+    args.reject_unread("stats")?;
     let path = args.require_positional("DAG file")?;
     let dag = load_dag(&path)?;
     let s = DagStats::measure(&dag);
@@ -107,11 +110,12 @@ pub fn stats(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `rsg curve FILE [--heuristic H] [--instances K]`
+/// `rsg curve FILE [--heuristic H]`
 pub fn curve(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require_positional("DAG file")?;
-    let dag = load_dag(&path)?;
     let heuristic = parse_heuristic(args.opt("heuristic").unwrap_or("MCP"))?;
+    args.reject_unread("curve")?;
+    let dag = load_dag(&path)?;
     let cfg = CurveConfig {
         heuristic,
         ..CurveConfig::default()
@@ -146,6 +150,8 @@ fn grid_by_name(label: &str) -> Result<ObservationGrid, CliError> {
 pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let grid = grid_by_name(args.opt("grid").unwrap_or("fast"))?;
     let file = args.opt("out");
+    let journal = args.opt("journal");
+    args.reject_unread("train")?;
     // Without --out, stdout carries the artifact alone.
     let mut err = std::io::stderr();
     let log: &mut dyn Write = if file.is_some() { &mut *out } else { &mut err };
@@ -156,7 +162,7 @@ pub fn train(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         grid.instances
     )?;
     let cfg = CurveConfig::default();
-    let tables = match args.opt("journal") {
+    let tables = match journal {
         Some(j) => {
             let ckpt = rsg_core::CheckpointConfig::new(j);
             let tables = rsg_core::observation::measure_checkpointed(
@@ -196,7 +202,9 @@ fn emit_artifact(
 
 /// `rsg predict --model FILE DAGFILE`
 pub fn predict(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let model = load_size_model(std::path::Path::new(args.require("model")?))?;
+    let model_path = args.require("model")?;
+    args.reject_unread("predict")?;
+    let model = load_size_model(std::path::Path::new(model_path))?;
     let path = args.require_positional("DAG file")?;
     let dag = load_dag(&path)?;
     let s = DagStats::measure(&dag);
@@ -221,10 +229,28 @@ pub fn spec(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             "--lang must be vgdl|classad|sword|all, got '{lang}'"
         )));
     }
+    let (model_path, grid) = (args.opt("model"), args.opt("grid"));
+    let (heur_model_path, heuristic) = (args.opt("heuristic-model"), args.opt("heuristic"));
+    let cfg = GeneratorConfig {
+        target_clock_mhz: args.num("clock", 3500.0)?,
+        heterogeneity_tolerance: args.num("het", 0.0)?,
+        ..Default::default()
+    };
+    // `--selector-flaky SEED:RATE` (or plain `--negotiate`) binds the
+    // spec against a vgES finder, retrying and degrading on failure.
+    let flaky_cfg = match args.opt("selector-flaky") {
+        Some(v) => {
+            let (seed, rate) = parse_seed_rate("selector-flaky", v)?;
+            Some(FlakyConfig::from_seed_rate(seed, rate))
+        }
+        None if args.flag("negotiate") => Some(FlakyConfig::default()),
+        None => None,
+    };
+    args.reject_unread("spec")?;
     // Size model: a persisted one, or trained inline from a small grid
     // (with one refinement round, so a single invocation exercises the
     // whole sweep → knee → fit pipeline).
-    let model = match (args.opt("model"), args.opt("grid")) {
+    let model = match (model_path, grid) {
         (Some(p), _) => load_size_model(std::path::Path::new(p))?,
         (None, Some(g)) => {
             let grid = match g {
@@ -256,18 +282,13 @@ pub fn spec(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Heuristic: explicit flag, or a degenerate single-cell model
     // defaulting to MCP (training a full heuristic model is a separate,
     // slower step — `fig6_1` at experiment scale).
-    let heur_model = match (args.opt("heuristic-model"), args.opt("heuristic")) {
+    let heur_model = match (heur_model_path, heuristic) {
         (Some(path), _) => rsg_core::persist::load_heuristic_model(std::path::Path::new(path))
             .map_err(CliError::from)?,
         (None, Some(h)) => HeuristicPredictionModel::fixed(parse_heuristic(h)?),
         (None, None) => HeuristicPredictionModel::fixed(HeuristicKind::Mcp),
     };
     let generator = SpecGenerator::new(model, heur_model);
-    let cfg = GeneratorConfig {
-        target_clock_mhz: args.num("clock", 3500.0)?,
-        heterogeneity_tolerance: args.num("het", 0.0)?,
-        ..Default::default()
-    };
     let spec = generator.generate(&dag, &cfg);
     writeln!(
         out,
@@ -295,16 +316,6 @@ pub fn spec(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             rsg_select::sword::write_sword(&SpecGenerator::to_sword(&spec))
         )?;
     }
-    // `--selector-flaky SEED:RATE` (or plain `--negotiate`) binds the
-    // spec against a vgES finder, retrying and degrading on failure.
-    let flaky_cfg = match args.opt("selector-flaky") {
-        Some(v) => {
-            let (seed, rate) = parse_seed_rate("selector-flaky", v)?;
-            Some(FlakyConfig::from_seed_rate(seed, rate))
-        }
-        None if args.flag("negotiate") => Some(FlakyConfig::default()),
-        None => None,
-    };
     if let Some(cfg) = flaky_cfg {
         negotiate_spec(&spec, &dag, cfg, out)?;
     }
@@ -352,6 +363,7 @@ pub fn chaos(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let outage_rate = args.num("outages", 0.0)?;
     let joins = args.int("joins", 0)? as usize;
+    args.reject_unread("chaos")?;
 
     let model = SchedTimeModel::default();
     let (report, schedule) = evaluate_with_schedule(&dag, &rc, heuristic, &model);
@@ -474,6 +486,7 @@ pub fn train_heuristic(args: &mut Args, out: &mut dyn Write) -> Result<(), CliEr
         }
     };
     let file = args.opt("out");
+    args.reject_unread("train-heuristic")?;
     // Without --out, stdout carries the artifact alone.
     let mut err = std::io::stderr();
     let log: &mut dyn Write = if file.is_some() { &mut *out } else { &mut err };
@@ -493,6 +506,7 @@ pub fn train_heuristic(args: &mut Args, out: &mut dyn Write) -> Result<(), CliEr
 /// checksums for sweep and platform-delta journals. Prints one line per
 /// file; the exit status reflects the first failure found.
 pub fn store(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
+    args.reject_unread("store")?;
     let action = args.require_positional("store action (verify)")?;
     if action != "verify" {
         return Err(CliError::Usage(format!(
@@ -576,6 +590,7 @@ pub fn lint(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
     let with_platform = args.flag("platform");
+    args.reject_unread("lint")?;
     let mut inputs = Vec::new();
     while let Some(p) = args.positional() {
         let text = std::fs::read_to_string(&p)
@@ -623,6 +638,7 @@ pub fn audit(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
             "--format must be human|json|tsv, got '{format}'"
         )));
     }
+    args.reject_unread("audit")?;
     let dir = args
         .positional()
         .ok_or_else(|| CliError::Usage("audit needs a deployment directory".into()))?;
@@ -649,8 +665,10 @@ pub fn audit(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// `rsg dot FILE [--out FILE]`
 pub fn dot(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require_positional("DAG file")?;
+    let out_path = args.opt("out");
+    args.reject_unread("dot")?;
     let dag = load_dag(&path)?;
-    emit(args.opt("out"), &to_dot(&dag), out)
+    emit(out_path, &to_dot(&dag), out)
 }
 
 fn parse_heuristic(s: &str) -> Result<HeuristicKind, CliError> {
@@ -708,7 +726,9 @@ pub fn serve(args: &mut Args, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(p) = args.opt("delta-journal") {
         cfg.delta_journal = Some(std::path::PathBuf::from(p));
     }
-    if args.flag("preflight") {
+    let preflight = args.flag("preflight");
+    args.reject_unread("serve")?;
+    if preflight {
         // Audit the deployment tree before binding anything: a tree
         // that fails the audit refuses to boot (structured diagnostics
         // on stderr, lint exit code); warnings are surfaced and served

@@ -113,7 +113,7 @@ USAGE:
                   [--regularity B] [--mean-comp W] [--seed S] [--out FILE]
   rsg gen montage [--tasks 1629|4469] [--ccr X] [--out FILE]
   rsg stats   FILE
-  rsg curve   FILE [--heuristic MCP|DLS|FCA|FCFS|Greedy] [--instances K]
+  rsg curve   FILE [--heuristic MCP|DLS|FCA|FCFS|Greedy]
   rsg train   [--grid tiny|fast|paper] [--out FILE] [--journal FILE]
   rsg train-heuristic [--preset fast|paper] [--out FILE]
   rsg predict --model FILE DAGFILE

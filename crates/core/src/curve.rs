@@ -8,7 +8,7 @@
 use rsg_dag::Dag;
 use rsg_obs::Counter;
 use rsg_platform::ResourceCollection;
-use rsg_sched::{evaluate, evaluate_prefix, evaluate_reference, HeuristicKind, SchedTimeModel};
+use rsg_sched::{evaluate, evaluate_ladder, evaluate_reference, HeuristicKind, SchedTimeModel};
 use std::collections::HashMap;
 
 /// [`CurveEvaluator`] lookups served from the per-size memo.
@@ -166,10 +166,10 @@ pub fn mean_turnaround_reference(dags: &[Dag], size: usize, cfg: &CurveConfig) -
 /// Two reuse layers, both bit-identical to [`mean_turnaround`]:
 ///
 /// * **RC prefix reuse** — one maximum-size RC is built and every
-///   smaller size is evaluated as a prefix view of it
-///   ([`evaluate_prefix`]). Valid because [`RcFamily`] draws are
-///   prefix-stable: `build(k)` equals the first `k` hosts of
-///   `build(n)` for any `n ≥ k`.
+///   smaller size is evaluated as a prefix view of it, all the sizes a
+///   call still needs in one [`evaluate_ladder`] per instance. Valid
+///   because [`RcFamily`] draws are prefix-stable: `build(k)` equals
+///   the first `k` hosts of `build(n)` for any `n ≥ k`.
 /// * **Per-size memoization** — curve sampling, knee refinement (which
 ///   bisects over already-sampled neighborhoods, once per threshold)
 ///   and the Table V-3 search revisit sizes; each size is scheduled
@@ -201,38 +201,60 @@ impl<'a> CurveEvaluator<'a> {
 
     /// Mean turnaround of the instance set at `size` (memoized).
     pub fn mean_turnaround(&mut self, size: usize) -> f64 {
-        if let Some(&t) = self.memo.get(&size) {
-            OBS_CURVE_MEMO_HITS.incr();
-            return t;
-        }
-        OBS_CURVE_MEMO_MISSES.incr();
-        if size > self.rc.len() {
-            OBS_CURVE_RC_REBUILDS.incr();
-            self.rc = self.cfg.rc_family.build(size);
-        }
-        let total: f64 = self
-            .dags
-            .iter()
-            .map(|d| {
-                evaluate_prefix(d, &self.rc, size, self.cfg.heuristic, &self.cfg.time_model)
-                    .turnaround_s()
-            })
-            .sum();
-        let t = total / self.dags.len() as f64;
-        self.memo.insert(size, t);
-        t
+        self.fill(&[size]);
+        self.memo[&size]
     }
 
     /// Samples a curve at explicit sizes (sorted, deduplicated).
     pub fn curve(&mut self, sizes: &[usize]) -> Curve {
-        let mut points: Vec<(usize, f64)> = sizes
-            .iter()
-            .map(|&s| (s, self.mean_turnaround(s)))
-            .collect();
+        self.fill(sizes);
+        let mut points: Vec<(usize, f64)> = sizes.iter().map(|&s| (s, self.memo[&s])).collect();
         points.sort_by_key(|&(s, _)| s);
         points.dedup_by_key(|&mut (s, _)| s);
         Curve { points }
     }
+
+    /// Memoizes the mean turnaround at every size of `sizes`, all the
+    /// sizes not yet memoized in one [`mean_turnarounds`].
+    fn fill(&mut self, sizes: &[usize]) {
+        let mut fresh: Vec<usize> = Vec::new();
+        for &s in sizes {
+            if self.memo.contains_key(&s) || fresh.contains(&s) {
+                OBS_CURVE_MEMO_HITS.incr();
+            } else {
+                OBS_CURVE_MEMO_MISSES.incr();
+                fresh.push(s);
+            }
+        }
+        let Some(&largest) = fresh.iter().max() else {
+            return;
+        };
+        if largest > self.rc.len() {
+            OBS_CURVE_RC_REBUILDS.incr();
+            self.rc = self.cfg.rc_family.build(largest);
+        }
+        let means = mean_turnarounds(self.dags, &self.rc, &fresh, &self.cfg);
+        self.memo.extend(fresh.into_iter().zip(means));
+    }
+}
+
+/// Mean turnaround of `dags` at every size of `sizes`, on prefixes of
+/// `rc`: one [`evaluate_ladder`] per instance, each size's turnarounds
+/// summed in instance order.
+pub(crate) fn mean_turnarounds(
+    dags: &[Dag],
+    rc: &ResourceCollection,
+    sizes: &[usize],
+    cfg: &CurveConfig,
+) -> Vec<f64> {
+    let mut totals = vec![0.0f64; sizes.len()];
+    for d in dags {
+        let reports = evaluate_ladder(d, rc, sizes, cfg.heuristic, &cfg.time_model);
+        for (total, r) in totals.iter_mut().zip(&reports) {
+            *total += r.turnaround_s();
+        }
+    }
+    totals.iter().map(|t| t / dags.len() as f64).collect()
 }
 
 /// Samples a turnaround curve for a set of DAG instances over the
@@ -328,6 +350,33 @@ mod tests {
         let mut eval = CurveEvaluator::new(&ds, &cfg, 16);
         for size in [1usize, 8, 16] {
             assert_eq!(eval.mean_turnaround(size), mean_turnaround(&ds, size, &cfg));
+        }
+    }
+
+    #[test]
+    fn batched_curve_matches_reference_mean_turnaround() {
+        let ds = dags();
+        let heterogeneous = CurveConfig {
+            rc_family: RcFamily {
+                clock_mhz: 3000.0,
+                heterogeneity: 0.3,
+                bw_heterogeneity: 0.4,
+                seed: 7,
+            },
+            ..CurveConfig::default()
+        };
+        for cfg in [CurveConfig::default(), heterogeneous] {
+            // Unsorted, repeated, partly memoized sizes past the
+            // evaluator's capacity.
+            let mut eval = CurveEvaluator::new(&ds, &cfg, 8);
+            eval.mean_turnaround(5);
+            let curve = eval.curve(&[40, 3, 5, 1, 40, 2, 13]);
+            let sizes: Vec<usize> = curve.points.iter().map(|&(s, _)| s).collect();
+            assert_eq!(sizes, [1, 2, 3, 5, 13, 40]);
+            for (size, t) in curve.points {
+                let reference = mean_turnaround(&ds, size, &cfg);
+                assert_eq!(t.to_bits(), reference.to_bits(), "size {size}");
+            }
         }
     }
 

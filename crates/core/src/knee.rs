@@ -45,6 +45,38 @@ pub fn find_knees(curve: &Curve, thetas: &[f64]) -> Vec<usize> {
     thetas.iter().map(|&t| find_knee(curve, t)).collect()
 }
 
+/// The interval `(lo, hi]` that [`refine_knee`] bisects for `theta`
+/// (from the sampled point before the coarse knee to the coarse knee)
+/// and the turnaround a size must come within `theta` of; `Err` with
+/// the coarse knee when it is the first sampled point.
+fn bracket(curve: &Curve, theta: f64) -> Result<(usize, usize, f64), usize> {
+    let coarse = find_knee(curve, theta);
+    let idx = curve
+        .points
+        .iter()
+        .position(|&(s, _)| s == coarse)
+        .expect("knee is a sampled point");
+    if idx == 0 {
+        return Err(coarse);
+    }
+    // Turnaround that must not be improvable by more than theta: the
+    // minimum over everything >= the coarse knee.
+    let target = curve.points[idx..]
+        .iter()
+        .map(|&(_, t)| t)
+        .fold(f64::INFINITY, f64::min);
+    Ok((curve.points[idx - 1].0, coarse, target))
+}
+
+/// The size the first bisection round of [`refine_knee`] evaluates for
+/// `theta` (given at least one round), if it evaluates one. It depends
+/// on the curve alone, so a caller can evaluate the first probes of
+/// several thresholds together.
+pub fn first_probe(curve: &Curve, theta: f64) -> Option<usize> {
+    let (lo, hi, _) = bracket(curve, theta).ok()?;
+    (hi - lo > 1).then_some((lo + hi) / 2)
+}
+
 /// Refines a coarse knee by sampling between the preceding ladder point
 /// and the knee: `eval(size)` must return the mean turnaround at that
 /// size. Performs up to `rounds` bisection rounds.
@@ -54,23 +86,10 @@ pub fn refine_knee(
     rounds: u32,
     mut eval: impl FnMut(usize) -> f64,
 ) -> usize {
-    let coarse = find_knee(curve, theta);
-    let idx = curve
-        .points
-        .iter()
-        .position(|&(s, _)| s == coarse)
-        .expect("knee is a sampled point");
-    if idx == 0 {
-        return coarse;
-    }
-    let mut lo = curve.points[idx - 1].0; // knee is somewhere in (lo, hi]
-    let mut hi = coarse;
-    // Turnaround that must not be improvable by more than theta: the
-    // minimum over everything >= the coarse knee.
-    let target = curve.points[idx..]
-        .iter()
-        .map(|&(_, t)| t)
-        .fold(f64::INFINITY, f64::min);
+    let (mut lo, mut hi, target) = match bracket(curve, theta) {
+        Ok(interval) => interval,
+        Err(coarse) => return coarse,
+    };
     for _ in 0..rounds {
         if hi - lo <= 1 {
             OBS_REFINE_CONVERGED.incr();
@@ -165,6 +184,21 @@ mod tests {
             (20..=24).contains(&refined),
             "refined knee {refined} should be near 20"
         );
+    }
+
+    #[test]
+    fn first_probe_is_the_first_evaluation() {
+        let c = curve(&[(1, 100.0), (4, 25.0), (16, 6.25), (32, 5.0), (64, 5.0)]);
+        let mut probes = Vec::new();
+        refine_knee(&c, 0.001, 3, |s| {
+            probes.push(s);
+            5.0
+        });
+        assert_eq!(first_probe(&c, 0.001), Some(24));
+        assert_eq!(probes.first().copied(), Some(24));
+        // A knee on the first point, or an interval already closed.
+        assert_eq!(first_probe(&curve(&[(1, 5.0), (2, 5.0)]), 0.001), None);
+        assert_eq!(first_probe(&curve(&[(1, 10.0), (2, 5.0)]), 0.001), None);
     }
 
     #[test]

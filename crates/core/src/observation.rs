@@ -16,14 +16,14 @@
 //! keeps its cells and recomputes them through the same steps
 //! (`evaluate_cells`).
 
-use crate::curve::{mean_turnaround_reference, size_ladder, Curve, CurveConfig};
-use crate::knee::{find_knee, refine_knee};
+use crate::curve::{mean_turnaround_reference, mean_turnarounds, size_ladder, Curve, CurveConfig};
+use crate::knee::{find_knee, first_probe, refine_knee};
 use crate::store::{fnv1a, StoreError, SweepJournal};
 use rayon::prelude::*;
 use rsg_dag::{Dag, RandomDagSpec};
 use rsg_obs::Counter;
 use rsg_platform::ResourceCollection;
-use rsg_sched::evaluate_prefix;
+use rsg_sched::{evaluate_ladder, TurnaroundReport};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -256,15 +256,19 @@ impl Cell {
     }
 
     /// The ladder step of instance `k`: its turnaround at every ladder
-    /// size, on prefixes of `rc`.
+    /// size, on prefixes of `rc`, in one [`evaluate_ladder`] call.
     fn ladder(&self, k: usize, rc: &ResourceCollection, cfg: &CurveConfig) -> Vec<f64> {
         OBS_LADDER_EVALS.add(self.ladder.len() as u64);
-        self.ladder
-            .iter()
-            .map(|&s| {
-                evaluate_prefix(&self.dags[k], rc, s, cfg.heuristic, &cfg.time_model).turnaround_s()
-            })
-            .collect()
+        evaluate_ladder(
+            &self.dags[k],
+            rc,
+            &self.ladder,
+            cfg.heuristic,
+            &cfg.time_model,
+        )
+        .iter()
+        .map(TurnaroundReport::turnaround_s)
+        .collect()
     }
 
     /// The curve step: the mean of the per-instance ladders, summed in
@@ -288,6 +292,13 @@ impl Cell {
     /// The knee step: the cell's knee for every threshold. Refinement
     /// probes share one `(size → mean)` memo, seeded with the curve,
     /// across all thresholds.
+    ///
+    /// Every threshold's first bisection probe depends on the curve
+    /// alone, so the probes the memo cannot serve are evaluated up
+    /// front, together. Each of them is one the bisection evaluates
+    /// anyway, so the memo is still filled (and the probes counted) at
+    /// the moment the bisection asks for them, and the work and the
+    /// counters are those of probing one size at a time.
     fn knees(
         &self,
         curve: &Curve,
@@ -296,33 +307,36 @@ impl Cell {
         thetas: &[f64],
         refine_rounds: u32,
     ) -> Vec<f64> {
+        if refine_rounds == 0 {
+            return thetas
+                .iter()
+                .map(|&theta| find_knee(curve, theta) as f64)
+                .collect();
+        }
         let mut memo: HashMap<usize, f64> = curve.points.iter().copied().collect();
+        let mut first: Vec<usize> = Vec::new();
+        for s in thetas.iter().filter_map(|&theta| first_probe(curve, theta)) {
+            if !memo.contains_key(&s) && !first.contains(&s) {
+                first.push(s);
+            }
+        }
+        let means = mean_turnarounds(&self.dags, rc, &first, cfg);
+        let mut evaluated: HashMap<usize, f64> = first.into_iter().zip(means).collect();
         thetas
             .iter()
             .map(|&theta| {
-                let k = if refine_rounds > 0 {
-                    refine_knee(curve, theta, refine_rounds, |s| {
-                        if let Some(&cached) = memo.get(&s) {
-                            OBS_MEMO_HITS.incr();
-                            return cached;
-                        }
-                        OBS_REFINE_EVALS.incr();
-                        let total: f64 = self
-                            .dags
-                            .iter()
-                            .map(|d| {
-                                evaluate_prefix(d, rc, s, cfg.heuristic, &cfg.time_model)
-                                    .turnaround_s()
-                            })
-                            .sum();
-                        let mean = total / self.dags.len() as f64;
-                        memo.insert(s, mean);
-                        mean
-                    })
-                } else {
-                    find_knee(curve, theta)
-                };
-                k as f64
+                refine_knee(curve, theta, refine_rounds, |s| {
+                    if let Some(&cached) = memo.get(&s) {
+                        OBS_MEMO_HITS.incr();
+                        return cached;
+                    }
+                    OBS_REFINE_EVALS.incr();
+                    let mean = evaluated
+                        .remove(&s)
+                        .unwrap_or_else(|| mean_turnarounds(&self.dags, rc, &[s], cfg)[0]);
+                    memo.insert(s, mean);
+                    mean
+                }) as f64
             })
             .collect()
     }

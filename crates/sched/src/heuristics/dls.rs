@@ -133,17 +133,14 @@ fn schedule_incremental(ctx: &ExecutionContext<'_>) -> (Schedule, OpCount) {
         let wbar = dag.comp(t) / median_speed;
         match index.as_mut() {
             Some(ix) => ix.dls_best(ctx, t, sched, host_ready, sl, wbar),
-            None => placement::dls_flat_best(
-                ctx,
-                t,
-                sched,
-                host_ready,
-                sl,
-                wbar,
-                flat.as_mut()
+            None => {
+                let dr = flat
+                    .as_mut()
                     .expect("flat buffer on declined path")
-                    .get(hosts),
-            ),
+                    .get(hosts);
+                placement::fill_data_ready(ctx, t, &sched.finish, &sched.host, dr);
+                placement::dls_flat_best(ctx, t, host_ready, sl, wbar, dr)
+            }
         }
     };
 

@@ -19,20 +19,31 @@
 //! sort, charged on every schedule even when the order comes from the
 //! cache. This is the polynomial growth in RC size that creates the
 //! turnaround knee of Chapter V.
+//!
+//! The order is the same at every RC size, so [`McpLadder`] schedules a
+//! DAG at every size of a ladder (prefixes of one RC) in one pass: one
+//! MCP state per size, all advanced task by task, with `finish` and
+//! `host` laid out `[task][size]`. Under uniform connectivity the two
+//! critical-parent passes over a task's parents then run once per
+//! parent edge for all sizes, as branch-free loops over a contiguous
+//! row of sizes ([`placement::critical_parents`]); each size's placement
+//! stays scalar (the candidate-set index, or the flat scan where the
+//! index declines). Every size gets the schedule, and is charged the
+//! operation count, it would get alone: [`Mcp`] is the batch of one.
 
 use super::common::log2_ops;
-use super::placement::{self, PlacementIndex};
+use super::placement::{self, CriticalParent, PlacementIndex};
 use super::scratch;
 use super::{Heuristic, HeuristicKind};
 use crate::context::ExecutionContext;
 use crate::schedule::Schedule;
 use crate::timemodel::OpCount;
 use rsg_dag::critical::mcp_priority_order;
-use rsg_dag::CriticalPathInfo;
+use rsg_dag::{CriticalPathInfo, TaskId};
+use rsg_platform::CommModel;
 
-/// The Modified Critical Path heuristic. Uses the candidate-set
-/// placement kernel when it applies (bit-identical schedules; see
-/// [`super::placement`]), the full host scan otherwise.
+/// The Modified Critical Path heuristic: the size-batched `McpLadder`
+/// at one size (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mcp;
 
@@ -47,7 +58,21 @@ impl Heuristic for Mcp {
     }
 
     fn schedule(&self, ctx: &ExecutionContext<'_>) -> (Schedule, OpCount) {
-        schedule_impl(ctx, true)
+        let McpLadder {
+            host,
+            start,
+            finish,
+            ops,
+            ..
+        } = McpLadder::schedule(std::slice::from_ref(ctx));
+        (
+            Schedule {
+                host,
+                start,
+                finish,
+            },
+            ops[0],
+        )
     }
 }
 
@@ -57,99 +82,201 @@ impl Heuristic for McpNaive {
     }
 
     fn schedule(&self, ctx: &ExecutionContext<'_>) -> (Schedule, OpCount) {
-        schedule_impl(ctx, false)
+        schedule_reference(ctx)
     }
 }
 
-fn schedule_impl(ctx: &ExecutionContext<'_>, use_fast: bool) -> (Schedule, OpCount) {
+/// MCP schedules of one DAG at several RC sizes — prefixes of one RC —
+/// computed together (see the module docs). Entries are laid out
+/// `[task][size]`, sizes in the order of the contexts they came from.
+pub(crate) struct McpLadder {
+    /// Sizes per task row.
+    width: usize,
+    host: Vec<u32>,
+    start: Vec<f64>,
+    finish: Vec<f64>,
+    /// Modeled operation count of each size's schedule.
+    pub(crate) ops: Vec<OpCount>,
+}
+
+impl McpLadder {
+    /// Schedules `ctxs[0].dag` once per context (at least one). Every
+    /// context must pair that DAG with the same RC; under non-uniform
+    /// connectivity only one context is accepted (its data-ready times
+    /// are per host, with nothing to share across sizes).
+    pub(crate) fn schedule(ctxs: &[ExecutionContext<'_>]) -> McpLadder {
+        let (dag, rc) = (ctxs[0].dag, ctxs[0].rc);
+        debug_assert!(ctxs
+            .iter()
+            .all(|c| std::ptr::eq(c.dag, dag) && std::ptr::eq(c.rc, rc)));
+        let uniform = *rc.comm_model() == CommModel::Uniform;
+        assert!(
+            uniform || ctxs.len() == 1,
+            "MCP schedules several sizes together only under uniform connectivity"
+        );
+        let w = ctxs.len();
+        let n = dag.len();
+
+        // The priority order depends on the DAG alone and is cached with
+        // it; its modeled cost (two CP sweeps, the priority sort) is
+        // still charged on every schedule, as is the full scan of every
+        // host against every parent, however the winner is found: the
+        // scan *is* the phenomenon the paper measures, and the knee
+        // tables depend on it.
+        let order = dag.mcp_order();
+        let tasks_and_edges = n as u64 + dag.edge_count() as u64;
+        let ops = ctxs
+            .iter()
+            .map(|c| {
+                OpCount(
+                    2 * tasks_and_edges
+                        + n as u64 * log2_ops(n)
+                        + c.hosts() as u64 * tasks_and_edges,
+                )
+            })
+            .collect();
+
+        let mut host = vec![u32::MAX; n * w];
+        let mut start = vec![0.0f64; n * w];
+        let mut finish = vec![0.0f64; n * w];
+        // Per-size placement state: a host-ready array (one pooled
+        // buffer, size `s` at `offsets[s]`) and the candidate-set index
+        // where it engages; the sizes where it declines share one flat
+        // data-ready buffer.
+        let offsets: Vec<usize> = ctxs
+            .iter()
+            .scan(0, |next, c| {
+                let at = *next;
+                *next += c.hosts();
+                Some(at)
+            })
+            .collect();
+        let mut host_ready = scratch::take_ready(offsets[w - 1] + ctxs[w - 1].hosts());
+        let mut index: Vec<Option<PlacementIndex>> = ctxs.iter().map(PlacementIndex::new).collect();
+        let mut flat = scratch::take_flat();
+        let flat_hosts = ctxs
+            .iter()
+            .zip(&index)
+            .filter(|(_, ix)| ix.is_none())
+            .map(|(c, _)| c.hosts())
+            .max()
+            .unwrap_or(0);
+        let dr = flat.get(flat_hosts);
+        let (mut d, mut h1, mut ready) = (vec![0.0f64; w], vec![0u32; w], vec![0.0f64; w]);
+
+        for &ti in order {
+            let t = TaskId(ti);
+            let row = t.index() * w;
+            if uniform && w == 1 {
+                // The batch of one: the scalar passes, whose branches
+                // beat the batch's selects at a width of one.
+                let cp = CriticalParent::of(&ctxs[0], t, &finish, &host);
+                (d[0], h1[0], ready[0]) = (cp.d, cp.host, cp.ready);
+            } else if uniform {
+                placement::critical_parents(
+                    dag.parents(t),
+                    &finish,
+                    &host,
+                    &mut d,
+                    &mut h1,
+                    &mut ready,
+                );
+            }
+            for (s, ctx) in ctxs.iter().enumerate() {
+                let at = offsets[s];
+                let hosts_ready = &host_ready[at..at + ctx.hosts()];
+                let cp = CriticalParent {
+                    d: d[s],
+                    host: h1[s],
+                    ready: ready[s],
+                };
+                let (best_finish, best_host, best_start) = match &index[s] {
+                    Some(ix) => ix.mcp_best(ctx, t, &cp, hosts_ready),
+                    None => {
+                        let dr = &mut dr[..ctx.hosts()];
+                        if uniform {
+                            cp.fill(dr);
+                        } else {
+                            placement::fill_data_ready(ctx, t, &finish, &host, dr);
+                        }
+                        placement::mcp_flat_best(ctx, t, hosts_ready, dr)
+                    }
+                };
+                host[row + s] = best_host as u32;
+                start[row + s] = best_start;
+                finish[row + s] = best_finish;
+                host_ready.set(at + best_host, best_finish);
+                if let Some(ix) = &mut index[s] {
+                    ix.update(best_host, best_finish);
+                }
+            }
+        }
+
+        McpLadder {
+            width: w,
+            host,
+            start,
+            finish,
+            ops,
+        }
+    }
+
+    /// Size `s`'s entries of a `[task][size]` array, in task order.
+    fn column<'a, T: Copy>(&self, v: &'a [T], s: usize) -> impl Iterator<Item = T> + 'a {
+        v.iter().skip(s).step_by(self.width).copied()
+    }
+
+    /// Makespan of size `s`'s schedule ([`Schedule::makespan`]).
+    pub(crate) fn makespan(&self, s: usize) -> f64 {
+        crate::schedule::makespan(self.column(&self.start, s), self.column(&self.finish, s))
+    }
+
+    /// Size `s`'s schedule.
+    pub(crate) fn schedule_at(&self, s: usize) -> Schedule {
+        Schedule {
+            host: self.column(&self.host, s).collect(),
+            start: self.column(&self.start, s).collect(),
+            finish: self.column(&self.finish, s).collect(),
+        }
+    }
+}
+
+/// Reference scan: the priority order recomputed from scratch, one pass
+/// over hosts per task, data-ready folded per host. Kept verbatim as the
+/// differential baseline.
+fn schedule_reference(ctx: &ExecutionContext<'_>) -> (Schedule, OpCount) {
     let dag = ctx.dag;
     let n = dag.len();
     let hosts = ctx.hosts();
     let mut ops = OpCount::default();
-
-    // The priority order depends on the DAG alone: the fast path reads
-    // the DAG's cached order, the reference recomputes it from scratch.
-    // Either way the modeled cost is charged on every schedule — it is
-    // part of the scheduling time that shapes the knee.
-    let fresh_order;
-    let order: &[u32] = if use_fast {
-        dag.mcp_order()
-    } else {
-        fresh_order = mcp_priority_order(dag, &CriticalPathInfo::compute(dag));
-        &fresh_order
-    };
+    let order = mcp_priority_order(dag, &CriticalPathInfo::compute(dag));
     ops += 2 * (n as u64 + dag.edge_count() as u64); // two CP sweeps
     ops += n as u64 * log2_ops(n); // priority sort
 
     let mut sched = Schedule::with_capacity(n);
-    if use_fast {
-        // Fast path: pooled host-ready array (zero steady-state
-        // allocation), candidate-set kernel when it engages, the
-        // loop-swapped flat scan otherwise. Both are bit-identical to
-        // the reference scan below.
-        let mut host_ready = scratch::take_ready(hosts);
-        let mut index = PlacementIndex::new(ctx);
-        let mut flat = if index.is_none() {
-            Some(scratch::take_flat())
-        } else {
-            None
-        };
-        for &ti in order {
-            let t = rsg_dag::TaskId(ti);
-            let i = t.index();
-            let parents = dag.parents(t).len() as u64;
-            let (best_finish, best_host, best_start) = match index.as_mut() {
-                Some(ix) => ix.mcp_best(ctx, t, &sched, &host_ready),
-                None => placement::mcp_flat_best(
-                    ctx,
-                    t,
-                    &sched,
-                    &host_ready,
-                    flat.as_mut()
-                        .expect("flat buffer on declined path")
-                        .get(hosts),
-                ),
-            };
-            // Modeled cost of the full scan, regardless of how the
-            // winner was found: the scan *is* the phenomenon the paper
-            // measures, and the knee tables depend on it.
-            ops += hosts as u64 * (1 + parents);
-            sched.host[i] = best_host as u32;
-            sched.start[i] = best_start;
-            sched.finish[i] = best_finish;
-            host_ready.set(best_host, best_finish);
-            if let Some(ix) = index.as_mut() {
-                ix.update(best_host, best_finish);
+    let mut host_ready = vec![0.0f64; hosts];
+    for &ti in &order {
+        let t = TaskId(ti);
+        let i = t.index();
+        let parents = dag.parents(t).len() as u64;
+        let mut best_finish = f64::INFINITY;
+        let mut best_host = 0usize;
+        let mut best_start = 0.0f64;
+        for (h, &ready) in host_ready.iter().enumerate() {
+            let est = ready.max(ctx.data_ready(t, h, &sched.finish, &sched.host));
+            let fin = est + ctx.task_time(t, h);
+            if fin < best_finish {
+                best_finish = fin;
+                best_host = h;
+                best_start = est;
             }
         }
-    } else {
-        // Reference scan: one pass over hosts per task, data-ready
-        // folded per host. Kept verbatim as the differential baseline.
-        let mut host_ready = vec![0.0f64; hosts];
-        for &ti in order {
-            let t = rsg_dag::TaskId(ti);
-            let i = t.index();
-            let parents = dag.parents(t).len() as u64;
-            let mut best_finish = f64::INFINITY;
-            let mut best_host = 0usize;
-            let mut best_start = 0.0f64;
-            for (h, &ready) in host_ready.iter().enumerate() {
-                let est = ready.max(ctx.data_ready(t, h, &sched.finish, &sched.host));
-                let fin = est + ctx.task_time(t, h);
-                if fin < best_finish {
-                    best_finish = fin;
-                    best_host = h;
-                    best_start = est;
-                }
-            }
-            ops += hosts as u64 * (1 + parents);
-            sched.host[i] = best_host as u32;
-            sched.start[i] = best_start;
-            sched.finish[i] = best_finish;
-            host_ready[best_host] = best_finish;
-        }
+        ops += hosts as u64 * (1 + parents);
+        sched.host[i] = best_host as u32;
+        sched.start[i] = best_start;
+        sched.finish[i] = best_finish;
+        host_ready[best_host] = best_finish;
     }
-
     (sched, ops)
 }
 

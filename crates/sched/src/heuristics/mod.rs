@@ -18,6 +18,7 @@ pub use dls::{Dls, DlsNaive};
 pub use fca::Fca;
 pub use fcfs::Fcfs;
 pub use greedy::Greedy;
+pub(crate) use mcp::McpLadder;
 pub use mcp::{Mcp, McpNaive};
 pub use placement::fast_placement_available;
 

@@ -70,7 +70,7 @@ use std::sync::Arc;
 use super::scratch;
 use crate::context::ExecutionContext;
 use crate::schedule::Schedule;
-use rsg_dag::TaskId;
+use rsg_dag::{Edge, TaskId};
 use rsg_platform::{ClockClasses, CommModel};
 
 /// A min segment tree over one clock class's host ready times, leaves
@@ -177,36 +177,42 @@ impl TreeBank {
 }
 
 /// No host: the task has no parent arriving after time 0.
-const NO_HOST: usize = usize::MAX;
+const NO_HOST: u32 = u32::MAX;
 
 /// The data-ready times of one task on every host under uniform
 /// connectivity: `ready` on `host`, `d` everywhere else (see the module
 /// docs for why nothing else can differ).
-#[derive(Debug)]
-struct CriticalParent {
+#[derive(Debug, Clone, Copy)]
+pub(super) struct CriticalParent {
     /// 0-floored max of the parents' off-host arrivals.
-    d: f64,
+    pub(super) d: f64,
     /// Host of the first parent arriving at `d`, or [`NO_HOST`].
-    host: usize,
+    pub(super) host: u32,
     /// Data-ready time on `host`.
-    ready: f64,
+    pub(super) ready: f64,
 }
 
 impl CriticalParent {
-    /// Two passes over `t`'s parents. `comm_factor` is exactly 1.0
+    /// Two passes over `t`'s parents in one schedule (`finish` and
+    /// `host_of` indexed by task). `comm_factor` is exactly 1.0
     /// off-host and 0.0 co-located under uniform connectivity, so every
     /// arrival is bit-identical to the naive `finish + comm * factor`.
     #[inline]
-    fn of(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule) -> CriticalParent {
+    pub(super) fn of(
+        ctx: &ExecutionContext<'_>,
+        t: TaskId,
+        finish: &[f64],
+        host_of: &[u32],
+    ) -> CriticalParent {
         let parents = ctx.dag.parents(t);
         let mut d = 0.0f64;
         let mut host = NO_HOST;
         for e in parents {
             let p = e.task.index();
-            let out = sched.finish[p] + e.comm * 1.0;
+            let out = finish[p] + e.comm * 1.0;
             if out > d {
                 d = out;
-                host = sched.host[p] as usize;
+                host = host_of[p];
             }
         }
         if host == NO_HOST {
@@ -215,12 +221,8 @@ impl CriticalParent {
         let mut ready = 0.0f64;
         for e in parents {
             let p = e.task.index();
-            let factor = if sched.host[p] as usize == host {
-                0.0
-            } else {
-                1.0
-            };
-            let arr = sched.finish[p] + e.comm * factor;
+            let factor = if host_of[p] == host { 0.0 } else { 1.0 };
+            let arr = finish[p] + e.comm * factor;
             if arr > ready {
                 ready = arr;
             }
@@ -231,10 +233,63 @@ impl CriticalParent {
     /// `ExecutionContext::data_ready` of the task on host `h`.
     #[inline]
     fn data_ready(&self, h: usize) -> f64 {
-        if h == self.host {
+        if h == self.host as usize {
             self.ready
         } else {
             self.d
+        }
+    }
+
+    /// Fills `dr[h]` with the data-ready time on every host `h`.
+    #[inline]
+    pub(super) fn fill(&self, dr: &mut [f64]) {
+        dr.fill(self.d);
+        if self.host != NO_HOST {
+            dr[self.host as usize] = self.ready;
+        }
+    }
+}
+
+/// [`CriticalParent::of`] in `w = d.len()` schedules at once, one per
+/// size of a ladder: `finish` and `host_of` are laid out `[task][size]`
+/// (`w` entries per task), and size `s`'s critical parent is
+/// `(d[s], host[s], ready[s])`.
+///
+/// The same two passes with the same float expressions in the same
+/// order, each a branch-free loop over a contiguous row of sizes; the
+/// selects keep the strict-`>` first-wins folds. A size without a
+/// critical parent (`NO_HOST`) has every parent off-host in the second
+/// pass too, so its `ready` is the same fold as `d`, as `of` returns.
+#[inline(always)]
+pub(super) fn critical_parents(
+    parents: &[Edge],
+    finish: &[f64],
+    host_of: &[u32],
+    d: &mut [f64],
+    host: &mut [u32],
+    ready: &mut [f64],
+) {
+    let w = d.len();
+    d.fill(0.0);
+    host.fill(NO_HOST);
+    ready.fill(0.0);
+    for e in parents {
+        let row = e.task.index() * w;
+        let (fin, hp) = (&finish[row..row + w], &host_of[row..row + w]);
+        for (((d, h), &f), &ph) in d.iter_mut().zip(host.iter_mut()).zip(fin).zip(hp) {
+            let out = f + e.comm * 1.0;
+            let later = out > *d;
+            *d = if later { out } else { *d };
+            *h = if later { ph } else { *h };
+        }
+    }
+    for e in parents {
+        let row = e.task.index() * w;
+        let (fin, hp) = (&finish[row..row + w], &host_of[row..row + w]);
+        for (((r, &h), &f), &ph) in ready.iter_mut().zip(host.iter()).zip(fin).zip(hp) {
+            let factor = if ph == h { 0.0 } else { 1.0 };
+            let arr = f + e.comm * factor;
+            *r = if arr > *r { arr } else { *r };
         }
     }
 }
@@ -304,12 +359,11 @@ impl PlacementIndex {
         &self,
         ctx: &ExecutionContext<'_>,
         t: TaskId,
-        sched: &Schedule,
+        cp: &CriticalParent,
         host_ready: &[f64],
         cost: impl Fn(f64, f64) -> f64,
     ) -> (f64, usize, f64) {
-        let cp = CriticalParent::of(ctx, t, sched);
-        let mut best = (f64::INFINITY, NO_HOST, 0.0f64);
+        let mut best = (f64::INFINITY, usize::MAX, 0.0f64);
         let mut visit = |h: usize, dr: f64| {
             let start = host_ready[h].max(dr);
             let c = cost(start, ctx.task_time(t, h));
@@ -318,7 +372,7 @@ impl PlacementIndex {
             }
         };
         if cp.host != NO_HOST {
-            visit(cp.host, cp.ready);
+            visit(cp.host as usize, cp.ready);
         }
         for class in &self.bank.trees {
             let exec = ctx.task_time(t, class.hosts[0] as usize);
@@ -330,15 +384,15 @@ impl PlacementIndex {
     }
 
     /// MCP placement: the `(finish, host, start)` the naive full scan
-    /// would select for `t`.
-    pub fn mcp_best(
-        &mut self,
+    /// would select for `t`, whose critical parent is `cp`.
+    pub(super) fn mcp_best(
+        &self,
         ctx: &ExecutionContext<'_>,
         t: TaskId,
-        sched: &Schedule,
+        cp: &CriticalParent,
         host_ready: &[f64],
     ) -> (f64, usize, f64) {
-        self.best(ctx, t, sched, host_ready, |start, exec| start + exec)
+        self.best(ctx, t, cp, host_ready, |start, exec| start + exec)
     }
 
     /// DLS evaluation: the `(dynamic level, host, start)` the naive
@@ -355,7 +409,8 @@ impl PlacementIndex {
     ) -> (f64, usize, f64) {
         // Negation is exact, so the highest dynamic level is the lowest
         // cost and ties compare alike.
-        let (neg_dl, h, start) = self.best(ctx, t, sched, host_ready, |start, exec| {
+        let cp = CriticalParent::of(ctx, t, &sched.finish, &sched.host);
+        let (neg_dl, h, start) = self.best(ctx, t, &cp, host_ready, |start, exec| {
             -(sl - start + (wbar - exec))
         });
         (-neg_dl, h, start)
@@ -368,9 +423,10 @@ pub fn fast_placement_available(ctx: &ExecutionContext<'_>) -> bool {
     PlacementIndex::new(ctx).is_some()
 }
 
-/// Fills `dr[h]` with `ExecutionContext::data_ready(t, h, …)` for every
-/// host, bit-identically. Under uniform connectivity that is `D` on every
-/// host but the critical parent's ([`CriticalParent`]), O(P + parents).
+/// Fills `dr[h]` with `ExecutionContext::data_ready(t, h, finish,
+/// host_of)` for every host, bit-identically. Under uniform
+/// connectivity that is `D` on every host but the critical parent's
+/// ([`CriticalParent`]), O(P + parents).
 /// Otherwise it is loop-swapped: one pass over hosts per parent instead
 /// of one pass over parents per host — data-ready is a 0-floored max
 /// over per-(parent, host) arrival terms, every term is computed with
@@ -379,21 +435,21 @@ pub fn fast_placement_available(ctx: &ExecutionContext<'_>) -> bool {
 /// ambiguity either). The per-parent inner loops are branch-free over
 /// contiguous `f64` arrays, which is what lets the compiler vectorize
 /// the fallback scan.
-fn fill_data_ready(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule, dr: &mut [f64]) {
+pub(super) fn fill_data_ready(
+    ctx: &ExecutionContext<'_>,
+    t: TaskId,
+    finish: &[f64],
+    host_of: &[u32],
+    dr: &mut [f64],
+) {
     match ctx.rc.comm_model() {
-        CommModel::Uniform => {
-            let cp = CriticalParent::of(ctx, t, sched);
-            dr.fill(cp.d);
-            if cp.host != NO_HOST {
-                dr[cp.host] = cp.ready;
-            }
-        }
+        CommModel::Uniform => CriticalParent::of(ctx, t, finish, host_of).fill(dr),
         CommModel::PerHostFactor(f) => {
             dr.fill(0.0);
             for e in ctx.dag.parents(t) {
                 let p = e.task.index();
-                let fin = sched.finish[p];
-                let fp = f[sched.host[p] as usize];
+                let fin = finish[p];
+                let fp = f[host_of[p] as usize];
                 for (h, x) in dr.iter_mut().enumerate() {
                     let arr = fin + e.comm * fp.max(f[h]);
                     if arr > *x {
@@ -407,8 +463,8 @@ fn fill_data_ready(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule, dr: 
             // (O(parents) each, O(parents²) total — negligible against
             // O(P·parents) in the P ≫ parents regime this scan runs in).
             for e in ctx.dag.parents(t) {
-                let ph = sched.host[e.task.index()] as usize;
-                dr[ph] = ctx.data_ready(t, ph, &sched.finish, &sched.host);
+                let ph = host_of[e.task.index()] as usize;
+                dr[ph] = ctx.data_ready(t, ph, finish, host_of);
             }
         }
         CommModel::Clustered {
@@ -419,8 +475,8 @@ fn fill_data_ready(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule, dr: 
             dr.fill(0.0);
             for e in ctx.dag.parents(t) {
                 let p = e.task.index();
-                let fin = sched.finish[p];
-                let a = host_cluster[sched.host[p] as usize] as usize;
+                let fin = finish[p];
+                let a = host_cluster[host_of[p] as usize] as usize;
                 let row = &factors[a * k..(a + 1) * k];
                 for (x, &hc) in dr.iter_mut().zip(host_cluster.iter()) {
                     let arr = fin + e.comm * row[hc as usize];
@@ -433,24 +489,24 @@ fn fill_data_ready(ctx: &ExecutionContext<'_>, t: TaskId, sched: &Schedule, dr: 
             // hosts of a cluster, but a parent's own host transfers for
             // free.
             for e in ctx.dag.parents(t) {
-                let ph = sched.host[e.task.index()] as usize;
-                dr[ph] = ctx.data_ready(t, ph, &sched.finish, &sched.host);
+                let ph = host_of[e.task.index()] as usize;
+                dr[ph] = ctx.data_ready(t, ph, finish, host_of);
             }
         }
     }
 }
 
-/// MCP fallback placement over every host: the naive scan, loop-swapped
-/// into flat array passes. Bit-identical to the per-host reference scan
-/// (same terms, same strict-`<` first-wins tie-break).
+/// MCP fallback placement over every host, given the data-ready times
+/// `dr` ([`fill_data_ready`] or [`CriticalParent::fill`]): the naive
+/// scan, loop-swapped into flat array passes. Bit-identical to the
+/// per-host reference scan (same terms, same strict-`<` first-wins
+/// tie-break).
 pub(super) fn mcp_flat_best(
     ctx: &ExecutionContext<'_>,
     t: TaskId,
-    sched: &Schedule,
     host_ready: &[f64],
-    dr: &mut [f64],
+    dr: &[f64],
 ) -> (f64, usize, f64) {
-    fill_data_ready(ctx, t, sched, dr);
     let speeds = ctx.speeds();
     let comp = ctx.dag.comp(t);
     let mut best_finish = f64::INFINITY;
@@ -472,18 +528,17 @@ pub(super) fn mcp_flat_best(
     (best_finish, best_host, best_start)
 }
 
-/// DLS fallback evaluation over every host, loop-swapped like
-/// [`mcp_flat_best`]. Bit-identical to the per-host reference scan.
+/// DLS fallback evaluation over every host, given the data-ready times
+/// `dr`, loop-swapped like [`mcp_flat_best`]. Bit-identical to the
+/// per-host reference scan.
 pub(super) fn dls_flat_best(
     ctx: &ExecutionContext<'_>,
     t: TaskId,
-    sched: &Schedule,
     host_ready: &[f64],
     sl: f64,
     wbar: f64,
-    dr: &mut [f64],
+    dr: &[f64],
 ) -> (f64, usize, f64) {
-    fill_data_ready(ctx, t, sched, dr);
     let speeds = ctx.speeds();
     let comp = ctx.dag.comp(t);
     let mut best = (f64::NEG_INFINITY, 0usize, 0.0f64);
@@ -576,7 +631,9 @@ mod tests {
         }
         // Entry task, D = 0: hosts 0..=2 are busy, host 3 is the
         // lowest-indexed idle one.
-        let (fin, host, start) = idx.mcp_best(&ctx, rsg_dag::TaskId(0), &sched, &host_ready);
+        let t = rsg_dag::TaskId(0);
+        let cp = CriticalParent::of(&ctx, t, &sched.finish, &sched.host);
+        let (fin, host, start) = idx.mcp_best(&ctx, t, &cp, &host_ready);
         assert_eq!(host, 3);
         assert_eq!(start, 0.0);
         assert!((fin - 10.0).abs() < 1e-12);
@@ -596,8 +653,10 @@ mod tests {
             idx.update(0, 100.0);
             idx.update(5, 40.0);
         }
-        let mut idx = PlacementIndex::new(&ctx).unwrap();
-        let (_, host, start) = idx.mcp_best(&ctx, rsg_dag::TaskId(0), &sched, &host_ready);
+        let idx = PlacementIndex::new(&ctx).unwrap();
+        let t = rsg_dag::TaskId(0);
+        let cp = CriticalParent::of(&ctx, t, &sched.finish, &sched.host);
+        let (_, host, start) = idx.mcp_best(&ctx, t, &cp, &host_ready);
         assert_eq!(host, 0, "pooled bank must be reset to all-ready");
         assert_eq!(start, 0.0);
     }
@@ -635,12 +694,59 @@ mod tests {
             }
             let mut dr = vec![f64::NAN; hosts];
             for t in dag.tasks() {
-                let cp = CriticalParent::of(&ctx, t, &sched);
-                fill_data_ready(&ctx, t, &sched, &mut dr);
+                let cp = CriticalParent::of(&ctx, t, &sched.finish, &sched.host);
+                fill_data_ready(&ctx, t, &sched.finish, &sched.host, &mut dr);
                 for (h, &flat) in dr.iter().enumerate() {
                     let naive = ctx.data_ready(t, h, &sched.finish, &sched.host);
                     assert_eq!(cp.data_ready(h).to_bits(), naive.to_bits(), "{t:?} on {h}");
                     assert_eq!(flat.to_bits(), naive.to_bits(), "{t:?} on {h} (flat)");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_critical_parents_match_each_schedule() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rsg_dag::RandomDagSpec;
+        let mut rng = StdRng::seed_from_u64(26);
+        for round in 0..20u64 {
+            let dag = RandomDagSpec {
+                size: 30 + 10 * (round as usize % 5),
+                ccr: [0.0, 0.5, 2.0][round as usize % 3],
+                parallelism: 0.5,
+                density: 0.3 + 0.1 * (round % 5) as f64,
+                regularity: 0.5,
+                mean_comp: 10.0,
+            }
+            .generate(round);
+            let rc = ResourceCollection::homogeneous(6, 1500.0);
+            let ctx = ExecutionContext::new(&dag, &rc);
+            // `w` random partial schedules on few hosts with integer
+            // finish times (ties, shared parent hosts, time-0 parents),
+            // laid out `[task][size]`.
+            let w = 1 + round as usize % 5;
+            let n = dag.len();
+            let finish: Vec<f64> = (0..n * w).map(|_| rng.gen_range(0..6u32) as f64).collect();
+            let host_of: Vec<u32> = (0..n * w).map(|_| rng.gen_range(0..6u32)).collect();
+            let (mut d, mut host, mut ready) = (vec![0.0; w], vec![0; w], vec![0.0; w]);
+            for t in dag.tasks() {
+                critical_parents(
+                    dag.parents(t),
+                    &finish,
+                    &host_of,
+                    &mut d,
+                    &mut host,
+                    &mut ready,
+                );
+                for s in 0..w {
+                    let fin: Vec<f64> = finish.iter().skip(s).step_by(w).copied().collect();
+                    let hosts: Vec<u32> = host_of.iter().skip(s).step_by(w).copied().collect();
+                    let one = CriticalParent::of(&ctx, t, &fin, &hosts);
+                    assert_eq!(d[s].to_bits(), one.d.to_bits(), "{t:?} size {s}");
+                    assert_eq!(host[s], one.host, "{t:?} size {s}");
+                    assert_eq!(ready[s].to_bits(), one.ready.to_bits(), "{t:?} size {s}");
                 }
             }
         }
@@ -678,12 +784,12 @@ mod tests {
             }
             let mut dr = vec![0.0f64; ctx.hosts()];
             for t in ctx.dag.tasks() {
-                fill_data_ready(&ctx, t, &sched, &mut dr);
+                fill_data_ready(&ctx, t, &sched.finish, &sched.host, &mut dr);
                 for (h, &flat_dr) in dr.iter().enumerate() {
                     let naive = ctx.data_ready(t, h, &sched.finish, &sched.host);
                     assert_eq!(flat_dr.to_bits(), naive.to_bits(), "task {t:?} host {h}");
                 }
-                let flat = mcp_flat_best(&ctx, t, &sched, &host_ready, &mut dr);
+                let flat = mcp_flat_best(&ctx, t, &host_ready, &dr);
                 let mut naive = (f64::INFINITY, 0usize, 0.0f64);
                 for (h, &ready) in host_ready.iter().enumerate() {
                     let est = ready.max(ctx.data_ready(t, h, &sched.finish, &sched.host));

@@ -60,8 +60,8 @@ pub use schedule::{Schedule, ScheduleError};
 pub use simulator::{makespan_stretch, replay, try_replay, Perturbation, PerturbationError};
 pub use timemodel::{OpCount, SchedTimeModel};
 pub use turnaround::{
-    evaluate, evaluate_prefix, evaluate_reference, evaluate_with_schedule, resilient_turnaround,
-    ResilienceReport, TurnaroundReport,
+    evaluate, evaluate_ladder, evaluate_prefix, evaluate_reference, evaluate_with_schedule,
+    resilient_turnaround, ResilienceReport, TurnaroundReport,
 };
 
 /// Reference scheduler clock (MHz): the paper runs heuristics on

@@ -11,6 +11,14 @@ use crate::context::ExecutionContext;
 use rsg_dag::TaskId;
 use std::fmt;
 
+/// The makespan of a schedule given its tasks' start and finish times
+/// (see [`Schedule::makespan`]).
+pub(crate) fn makespan(start: impl Iterator<Item = f64>, finish: impl Iterator<Item = f64>) -> f64 {
+    let end = finish.fold(0.0f64, f64::max);
+    let begin = start.fold(f64::INFINITY, f64::min);
+    end - begin.max(0.0)
+}
+
 /// A complete mapping of tasks to hosts and time slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
@@ -35,9 +43,7 @@ impl Schedule {
     /// The application makespan: time between the earliest task start
     /// and the latest task completion (Section III.1.1).
     pub fn makespan(&self) -> f64 {
-        let end = self.finish.iter().copied().fold(0.0f64, f64::max);
-        let begin = self.start.iter().copied().fold(f64::INFINITY, f64::min);
-        end - begin.max(0.0)
+        makespan(self.start.iter().copied(), self.finish.iter().copied())
     }
 
     /// Number of distinct hosts actually used.

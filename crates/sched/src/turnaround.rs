@@ -2,15 +2,24 @@
 //! the scheduling-heuristic execution time and the application makespan,
 //! plus — when explicit resource selection is used — the time spent by
 //! the resource-selection system.
+//!
+//! Turnaround-vs-size sweeps evaluate one DAG at every size of a ladder
+//! on prefixes of one RC ([`evaluate_ladder`]). MCP under uniform
+//! connectivity schedules all of a ladder's sizes in one pass (the
+//! crate's `McpLadder`); every other heuristic, and MCP under
+//! non-uniform connectivity, evaluates size by size. Either way each
+//! size's report is the one [`evaluate_prefix`] gives at that size, and
+//! the work counters (`sched.schedules_evaluated`, `sched.placements`,
+//! the placement-kernel counters) count one schedule per size.
 
 use crate::chaos::ChaosOutcome;
 use crate::context::ExecutionContext;
-use crate::heuristics::HeuristicKind;
+use crate::heuristics::{HeuristicKind, McpLadder};
 use crate::schedule::Schedule;
 use crate::timemodel::{OpCount, SchedTimeModel};
 use rsg_dag::Dag;
 use rsg_obs::{Counter, TimingHistogram};
-use rsg_platform::ResourceCollection;
+use rsg_platform::{CommModel, ResourceCollection};
 use std::time::Instant;
 
 /// Recovery wall-clock charged per chaos run (modeled rescue time).
@@ -154,6 +163,50 @@ pub fn evaluate_prefix(
     evaluate_ctx(&ctx, heuristic, model).0
 }
 
+/// [`evaluate_prefix`] at every size of `sizes` (any order, repeats
+/// allowed), one report per size in the order given. MCP under uniform
+/// connectivity schedules every size in one pass (`McpLadder`); each
+/// report's `wallclock_s` is then an equal share of that pass.
+pub fn evaluate_ladder(
+    dag: &Dag,
+    rc: &ResourceCollection,
+    sizes: &[usize],
+    heuristic: HeuristicKind,
+    model: &SchedTimeModel,
+) -> Vec<TurnaroundReport> {
+    if heuristic != HeuristicKind::Mcp || *rc.comm_model() != CommModel::Uniform || sizes.is_empty()
+    {
+        return sizes
+            .iter()
+            .map(|&s| evaluate_prefix(dag, rc, s, heuristic, model))
+            .collect();
+    }
+    let ctxs: Vec<ExecutionContext<'_>> = sizes
+        .iter()
+        .map(|&s| ExecutionContext::with_host_limit(dag, rc, s))
+        .collect();
+    let t0 = Instant::now();
+    let ladder = McpLadder::schedule(&ctxs);
+    let wallclock_s = t0.elapsed().as_secs_f64() / sizes.len() as f64;
+    ctxs.iter()
+        .enumerate()
+        .map(|(s, ctx)| {
+            debug_assert!(
+                ladder.schedule_at(s).validate(ctx).is_ok(),
+                "MCP ladder produced an invalid schedule"
+            );
+            report(
+                ctx,
+                heuristic,
+                ladder.ops[s],
+                ladder.makespan(s),
+                wallclock_s,
+                model,
+            )
+        })
+        .collect()
+}
+
 /// Like [`evaluate`] but also returns the schedule.
 pub fn evaluate_with_schedule(
     dag: &Dag,
@@ -199,23 +252,35 @@ fn evaluate_ctx(
     let t0 = Instant::now();
     let (sched, ops) = heuristic.run(ctx);
     let wallclock_s = t0.elapsed().as_secs_f64();
-    OBS_SCHEDULES.incr();
-    OBS_PLACEMENTS.add(ctx.dag.len() as u64);
-    heuristic_wall(heuristic).record_secs(wallclock_s);
     debug_assert!(
         sched.validate(ctx).is_ok(),
         "heuristic produced invalid schedule"
     );
-    let report = TurnaroundReport {
+    let report = report(ctx, heuristic, ops, sched.makespan(), wallclock_s, model);
+    (report, sched)
+}
+
+/// Counts one schedule of `ctx` and assembles its report.
+fn report(
+    ctx: &ExecutionContext<'_>,
+    heuristic: HeuristicKind,
+    ops: OpCount,
+    makespan_s: f64,
+    wallclock_s: f64,
+    model: &SchedTimeModel,
+) -> TurnaroundReport {
+    OBS_SCHEDULES.incr();
+    OBS_PLACEMENTS.add(ctx.dag.len() as u64);
+    heuristic_wall(heuristic).record_secs(wallclock_s);
+    TurnaroundReport {
         heuristic,
         rc_size: ctx.hosts(),
         sched_time_s: model.seconds(ops),
-        makespan_s: sched.makespan(),
+        makespan_s,
         selection_time_s: 0.0,
         wallclock_s,
         ops,
-    };
-    (report, sched)
+    }
 }
 
 #[cfg(test)]

@@ -2,14 +2,18 @@
 //! on every random DAG × uniform-connectivity RC where the fast path
 //! engages, MCP and DLS must produce bit-identical schedules (host,
 //! start, finish) and identical modeled operation counts to the naive
-//! full-host-scan reference implementations. This is the contract that
+//! full-host-scan reference implementations. The size-batched MCP
+//! ladder (`evaluate_ladder`) must report, at every size, exactly what
+//! the naive scan gives at that size alone. This is the contract that
 //! lets the observation sweep use the kernel without perturbing any
 //! paper-facing number.
 
 use proptest::prelude::*;
 use rsg::prelude::*;
 use rsg::sched::heuristics::{fast_placement_available, Dls, DlsNaive, Mcp, McpNaive};
-use rsg::sched::{ExecutionContext, Heuristic};
+use rsg::sched::{
+    evaluate_ladder, evaluate_prefix, ExecutionContext, Heuristic, OpCount, SchedTimeModel,
+};
 
 fn dag_spec_strategy() -> impl Strategy<Value = RandomDagSpec> {
     (
@@ -113,8 +117,105 @@ fn assert_same_schedule(
     assert_eq!(fast.1, naive.1, "{label}: op counts");
 }
 
+/// One ladder rung as `(rc size, ops, makespan bits, turnaround bits)`.
+type Rung = (usize, OpCount, u64, u64);
+
+/// MCP at the first `size` hosts of `rc` through the naive scan.
+fn naive_rung(dag: &Dag, rc: &ResourceCollection, size: usize, model: &SchedTimeModel) -> Rung {
+    let ctx = ExecutionContext::with_host_limit(dag, rc, size);
+    let (sched, ops) = McpNaive.schedule(&ctx);
+    let makespan = sched.makespan();
+    let turnaround = model.seconds(ops) + makespan + 0.0;
+    (ctx.hosts(), ops, makespan.to_bits(), turnaround.to_bits())
+}
+
+/// `evaluate_ladder` over `sizes` ≡ the naive scan and
+/// `evaluate_prefix` at each size on its own, bit for bit.
+fn assert_ladder_matches_naive(label: &str, dag: &Dag, rc: &ResourceCollection, sizes: &[usize]) {
+    let model = SchedTimeModel::default();
+    let rung = |r: &rsg::sched::TurnaroundReport| -> Rung {
+        (
+            r.rc_size,
+            r.ops,
+            r.makespan_s.to_bits(),
+            r.turnaround_s().to_bits(),
+        )
+    };
+    let ladder = evaluate_ladder(dag, rc, sizes, HeuristicKind::Mcp, &model);
+    assert_eq!(ladder.len(), sizes.len(), "{label}: one report per size");
+    for (report, &size) in ladder.iter().zip(sizes) {
+        let single = evaluate_prefix(dag, rc, size, HeuristicKind::Mcp, &model);
+        assert_eq!(
+            rung(report),
+            naive_rung(dag, rc, size, &model),
+            "{label}: size {size} of {sizes:?} vs McpNaive"
+        );
+        assert_eq!(
+            rung(report),
+            rung(&single),
+            "{label}: size {size} of {sizes:?} vs evaluate_prefix"
+        );
+    }
+}
+
+/// A ladder over an RC of `hosts` hosts: `drawn` sizes (unsorted, some
+/// past the RC, clamped) plus 3, 1, 2 — where a one-class RC's index
+/// declines (`classes·4 > hosts`) — the full RC and a repeat.
+fn ladder_of(mut drawn: Vec<usize>, hosts: usize) -> Vec<usize> {
+    drawn.extend([3, 1, 2, hosts, drawn[0]]);
+    drawn
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The size-batched MCP ladder on homogeneous and few-class RCs,
+    /// where one batch mixes kernel sizes and declined (flat-scan) ones.
+    #[test]
+    fn mcp_ladder_matches_naive_per_size(
+        spec in dag_spec_strategy(),
+        seed in 0u64..1000,
+        classes in 1usize..4,
+        extra_hosts in 0usize..60,
+        drawn in prop::collection::vec(0usize..80, 1..8),
+    ) {
+        let dag = spec.generate(seed);
+        let rc = fast_path_rc(classes, extra_hosts);
+        prop_assert!(fast_placement_available(&ExecutionContext::new(&dag, &rc)));
+        prop_assert!(!fast_placement_available(&ExecutionContext::with_host_limit(&dag, &rc, 3)));
+        assert_ladder_matches_naive("MCP ladder", &dag, &rc, &ladder_of(drawn, rc.len()));
+    }
+
+    /// The size-batched MCP ladder on tie-heavy integer-cost DAGs.
+    #[test]
+    fn tie_heavy_mcp_ladder_matches_naive_per_size(
+        shape in 0u8..3,
+        size in 1usize..160,
+        seed in 0u64..100_000,
+        classes in 1usize..4,
+        extra_hosts in 0usize..24,
+        drawn in prop::collection::vec(0usize..40, 1..8),
+    ) {
+        let dag = tie_heavy_dag(shape, size, seed);
+        let rc = fast_path_rc(classes, extra_hosts);
+        assert_ladder_matches_naive("MCP ladder/ties", &dag, &rc, &ladder_of(drawn, rc.len()));
+    }
+
+    /// A bandwidth-heterogeneous RC: `evaluate_ladder` evaluates size by
+    /// size, with the same reports.
+    #[test]
+    fn bandwidth_heterogeneous_mcp_ladder_matches_naive_per_size(
+        spec in dag_spec_strategy(),
+        seed in 0u64..1000,
+        hosts in 1usize..40,
+        drawn in prop::collection::vec(0usize..48, 1..6),
+    ) {
+        let dag = spec.generate(seed);
+        let rc = ResourceCollection::homogeneous(hosts, 1500.0)
+            .with_bandwidth_heterogeneity(0.3, seed);
+        prop_assert!(rc.comm_model() != &rsg::platform::CommModel::Uniform);
+        assert_ladder_matches_naive("MCP ladder/bandwidth", &dag, &rc, &ladder_of(drawn, hosts));
+    }
 
     /// MCP through the kernel ≡ the naive scan, bit for bit.
     #[test]

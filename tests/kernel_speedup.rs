@@ -4,6 +4,9 @@
 //!   be at least 5× faster than the reference sweep (`measure_naive`).
 //! - DLS through the placement kernel on a 300-task DAG over 1,000
 //!   homogeneous hosts must be at least 10× faster than its naive scan.
+//! - The size-batched MCP ladder on fast-grid-shaped DAGs (100–800
+//!   tasks, homogeneous RC) must be at least 1.2× faster than one
+//!   `evaluate_ladder` call per ladder size.
 //!
 //! Wall time cannot be gated in the regular test run: a shared or debug
 //! build cannot hold these ratios. The test is therefore ignored by
@@ -16,14 +19,15 @@
 //!
 //! That the fast paths compute the same results is checked on every
 //! test run: `observation::tests::fast_measure_matches_naive` for the
-//! sweep and `fast_kernel_equiv::host_scaling_fast_kernel_matches_naive`
-//! for the kernel.
+//! sweep, `fast_kernel_equiv::host_scaling_fast_kernel_matches_naive`
+//! for the kernel and `fast_kernel_equiv::mcp_ladder_matches_naive_per_size`
+//! for the batched ladder.
 
-use rsg::core::curve::CurveConfig;
+use rsg::core::curve::{size_ladder, CurveConfig};
 use rsg::core::observation::{measure, measure_naive, ObservationGrid};
 use rsg::core::THRESHOLD_LADDER;
 use rsg::prelude::*;
-use rsg::sched::ExecutionContext;
+use rsg::sched::{evaluate_ladder, ExecutionContext};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -94,6 +98,65 @@ fn fast_paths_hold_their_speedups() {
     let dls_speedup = fast_per_s / naive_per_s;
     eprintln!("DLS, 1k hosts: fast {fast_per_s:.1}/s, naive {naive_per_s:.1}/s, {dls_speedup:.1}x");
 
+    // One instance per fast-grid size, each over its own ladder on the
+    // sweep's homogeneous RC.
+    let dags: Vec<_> = [(100, 0.1, 0.5), (300, 0.5, 0.7), (800, 0.01, 0.9)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(size, ccr, parallelism))| {
+            RandomDagSpec {
+                size,
+                ccr,
+                parallelism,
+                density: 0.5,
+                regularity: 0.5,
+                mean_comp: 40.0,
+            }
+            .generate(i as u64)
+        })
+        .collect();
+    let ladders: Vec<Vec<usize>> = dags
+        .iter()
+        .map(|d| size_ladder(d.width() as usize))
+        .collect();
+    let rc = cfg.rc_family.build(800);
+    let model = cfg.time_model;
+    let batched_per_s = runs_per_second(
+        || {
+            for (dag, ladder) in dags.iter().zip(&ladders) {
+                black_box(evaluate_ladder(
+                    dag,
+                    &rc,
+                    ladder,
+                    HeuristicKind::Mcp,
+                    &model,
+                ));
+            }
+        },
+        0.5,
+    );
+    let per_size_per_s = runs_per_second(
+        || {
+            for (dag, ladder) in dags.iter().zip(&ladders) {
+                for &size in ladder {
+                    black_box(evaluate_ladder(
+                        dag,
+                        &rc,
+                        &[size],
+                        HeuristicKind::Mcp,
+                        &model,
+                    ));
+                }
+            }
+        },
+        0.5,
+    );
+    let ladder_speedup = batched_per_s / per_size_per_s;
+    eprintln!(
+        "MCP ladders: batched {batched_per_s:.1}/s, per size {per_size_per_s:.1}/s, \
+         {ladder_speedup:.2}x"
+    );
+
     assert!(
         sweep_speedup >= 5.0,
         "end-to-end sweep speedup {sweep_speedup:.2}x is below the required 5x"
@@ -101,5 +164,9 @@ fn fast_paths_hold_their_speedups() {
     assert!(
         dls_speedup >= 10.0,
         "DLS kernel speedup at 1k hosts is {dls_speedup:.1}x, below the required 10x"
+    );
+    assert!(
+        ladder_speedup >= 1.2,
+        "batched MCP ladder speedup {ladder_speedup:.2}x is below the required 1.2x"
     );
 }

@@ -46,65 +46,54 @@ pub use crate::graph::RawDag;
 /// static analyzer can report them all instead of stopping at the
 /// first.
 pub fn read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
-    // ASCII fast path. U+000B is the one ASCII character that
-    // `char::is_whitespace` accepts and `is_ascii_whitespace` does not,
-    // so a text holding it takes the Unicode splitter too.
-    if text.is_ascii() && !text.contains('\u{b}') {
-        parse_with(text, str::split_ascii_whitespace)
-    } else {
-        parse_with(text, str::split_whitespace)
+    if text.is_empty() {
+        return Err(err(1, "empty document"));
     }
-}
-
-/// [`read_dag_raw`], with `fields` splitting each line into fields.
-fn parse_with<'a, I: Iterator<Item = &'a str>>(
-    text: &'a str,
-    fields: impl Fn(&'a str) -> I,
-) -> Result<RawDag, DagIoError> {
-    let mut lines = text.lines().enumerate();
-    let (i, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
-    if header.trim() != "rsg-dag v1" {
-        return Err(err(i + 1, "expected 'rsg-dag v1' header"));
+    let header_end = text.find('\n').map_or(text.len(), |i| i + 1);
+    if text[..header_end].trim() != "rsg-dag v1" {
+        return Err(err(1, "expected 'rsg-dag v1' header"));
     }
     let mut raw = RawDag::default();
-    let mut saw_end = false;
-    for (i, line) in lines {
-        let mut f = Fields {
-            parts: fields(line),
-            line: i + 1,
-        };
-        match f.parts.next() {
+    let mut f = Cursor {
+        text,
+        at: header_end,
+        line: 2,
+    };
+    while f.at < text.len() {
+        match f.field() {
             None => {}
             Some(comment) if comment.starts_with('#') => {}
-            Some("name") => raw.name = f.parts.collect::<Vec<_>>().join(" "),
+            Some("name") => {
+                let mut words = Vec::new();
+                while let Some(word) = f.field() {
+                    words.push(word);
+                }
+                raw.name = words.join(" ");
+            }
             Some("refclock") => {
-                raw.ref_clock_mhz = Some(f.next("refclock needs a value", "bad refclock")?);
+                raw.ref_clock_mhz = Some(f.cost("refclock needs a value", "bad refclock")?);
             }
             Some("task") => {
-                let id: u32 = f.next("task needs an id", "bad task id")?;
+                let id = f.id("task needs an id", "bad task id")?;
                 if id as usize != raw.tasks.len() {
                     return Err(err(f.line, "task ids must be dense and in order"));
                 }
                 raw.tasks
-                    .push(f.next("task needs a cost", "bad task cost")?);
+                    .push(f.cost("task needs a cost", "bad task cost")?);
             }
             Some("edge") => {
-                let p = f.next("edge needs a parent id", "bad edge parent id")?;
-                let c = f.next("edge needs a child id", "bad edge child id")?;
-                let w = f.next("edge needs a cost", "bad edge cost")?;
+                let p = f.id("edge needs a parent id", "bad edge parent id")?;
+                let c = f.id("edge needs a child id", "bad edge child id")?;
+                let w = f.cost("edge needs a cost", "bad edge cost")?;
                 raw.edges.push((p, c, w));
             }
-            Some("end") => {
-                saw_end = true;
-                break;
-            }
+            Some("end") => return Ok(raw),
             Some(other) => return Err(err(f.line, &format!("unknown directive '{other}'"))),
         }
+        f.next_line();
     }
-    if !saw_end {
-        return Err(err(text.lines().count(), "missing 'end'"));
-    }
-    Ok(raw)
+    // The cursor has stepped past every line, the header included.
+    Err(err(f.line - 1, "missing 'end'"))
 }
 
 fn err(line: usize, msg: &str) -> DagIoError {
@@ -114,18 +103,126 @@ fn err(line: usize, msg: &str) -> DagIoError {
     }
 }
 
-/// The fields of one line, with its 1-based number for errors.
-struct Fields<I> {
-    parts: I,
+/// A byte cursor over a whole document, inside one line of it at a time.
+///
+/// Lines end at `\n`; a field is a run of characters inside one line
+/// that `char::is_whitespace` rejects, which is what `str::lines` and
+/// `str::split_whitespace` yield (a `\r` before the `\n` is whitespace).
+struct Cursor<'a> {
+    text: &'a str,
+    /// Byte offset; always a char boundary of `text`.
+    at: usize,
+    /// The 1-based number of the line `at` is in.
     line: usize,
 }
 
-impl<'a, I: Iterator<Item = &'a str>> Fields<I> {
-    /// The next field, parsed; `missing` or `bad` says why not.
-    fn next<T: std::str::FromStr>(&mut self, missing: &str, bad: &str) -> Result<T, DagIoError> {
-        let f = self.parts.next().ok_or_else(|| err(self.line, missing))?;
+impl<'a> Cursor<'a> {
+    /// Skips whitespace; `false` at the end of the line.
+    fn space(&mut self) -> bool {
+        while let Some((len, space)) = char_at(self.text, self.at) {
+            if !space {
+                return true;
+            }
+            self.at += len;
+        }
+        false
+    }
+
+    /// The next field of the current line, or `None` at its end.
+    fn field(&mut self) -> Option<&'a str> {
+        if !self.space() {
+            return None;
+        }
+        let start = self.at;
+        loop {
+            self.at = graphic_end(self.text.as_bytes(), self.at);
+            match char_at(self.text, self.at) {
+                Some((len, false)) => self.at += len,
+                _ => break,
+            }
+        }
+        Some(&self.text[start..self.at])
+    }
+
+    /// Moves to the start of the next line.
+    fn next_line(&mut self) {
+        let rest = &self.text.as_bytes()[self.at..];
+        self.at += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |i| i + 1);
+        self.line += 1;
+    }
+
+    /// The next field as a task id, parsed where it lies: exactly what
+    /// `u32::from_str` accepts (an optional `+`, then decimal digits
+    /// that fit in a `u32`); `missing` or `bad` says why not.
+    fn id(&mut self, missing: &str, bad: &str) -> Result<u32, DagIoError> {
+        if !self.space() {
+            return Err(err(self.line, missing));
+        }
+        let bytes = self.text.as_bytes();
+        let first = self.at + usize::from(bytes[self.at] == b'+');
+        let mut id = Some(0u32);
+        self.at = first;
+        while let Some(d) = bytes.get(self.at).and_then(|&b| char::from(b).to_digit(10)) {
+            id = id.and_then(|id| id.checked_mul(10)?.checked_add(d));
+            self.at += 1;
+        }
+        match (id, char_at(self.text, self.at)) {
+            (Some(id), None | Some((_, true))) if self.at > first => Ok(id),
+            _ => Err(err(self.line, bad)),
+        }
+    }
+
+    /// The next field as an `f64`; `missing` or `bad` says why not.
+    fn cost(&mut self, missing: &str, bad: &str) -> Result<f64, DagIoError> {
+        let f = self.field().ok_or_else(|| err(self.line, missing))?;
         f.parse().map_err(|_| err(self.line, bad))
     }
+}
+
+/// The byte length of the character at `at` and whether it is
+/// whitespace; `None` at the end of the line or of the text.
+fn char_at(text: &str, at: usize) -> Option<(usize, bool)> {
+    match *text.as_bytes().get(at)? {
+        b'\n' => None,
+        b'\t' | b'\x0b' | b'\x0c' | b'\r' | b' ' => Some((1, true)),
+        0..=0x7f => Some((1, false)),
+        _ => Some(wide_char_at(text, at)),
+    }
+}
+
+/// [`char_at`] for a character of two to four bytes. Kept out of line
+/// so the ASCII cases inline into the cursor's loops.
+#[cold]
+fn wide_char_at(text: &str, at: usize) -> (usize, bool) {
+    let c = text[at..].chars().next().unwrap_or_default();
+    (c.len_utf8(), c.is_whitespace())
+}
+
+/// The offset of the first byte at or after `at` that is not in
+/// `0x21..=0x7F` (no whitespace, no control byte but DEL, no byte of a
+/// multi-byte character); the length of `bytes` if there is none.
+///
+/// Eight bytes are tested at a time: in `(w - 0x21..21) | w` the high
+/// bit of a byte is set if the byte is below 0x21 or above 0x7F, and
+/// the lowest such byte is marked exactly (a borrow only runs upwards
+/// from a byte below 0x21, so any false mark sits above it).
+fn graphic_end(bytes: &[u8], mut at: usize) -> usize {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    while let Some(word) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
+        let w = u64::from_le_bytes(*word);
+        let stop = (w.wrapping_sub(ONES * 0x21) | w) & (ONES * 0x80);
+        if stop != 0 {
+            return at + (stop.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    while matches!(bytes.get(at), Some(0x21..=0x7f)) {
+        at += 1;
+    }
+    at
 }
 
 /// Serializes a DAG to the text format.

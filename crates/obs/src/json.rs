@@ -83,6 +83,7 @@ impl Json {
     /// thread stack.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
             depth: 0,
@@ -150,6 +151,7 @@ pub fn num(v: f64) -> String {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -274,16 +276,10 @@ impl<'a> Parser<'a> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            self.pos = run_end(self.bytes, start);
+            // A run ends at an ASCII byte or the end of the input, so
+            // both ends are char boundaries of `src`.
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -320,39 +316,90 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                _ => return Err(self.err("unterminated string")),
+                Some(_) => return Err(self.err("control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
+    /// A number, by RFC 8259's grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    return Err(self.err("bad number"));
+                }
+            }
+            _ => self.digits()?,
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
     }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("bad number"));
+        }
+        Ok(())
+    }
+}
+
+/// The offset of the first byte at or after `at` that ends an unescaped
+/// run of a string: a `"`, a `\` or a control byte (below 0x20); the
+/// length of `bytes` if none does.
+///
+/// Eight bytes are tested at a time with the zero-byte trick: in
+/// `(x - 0x01..01) & !x & 0x80..80` the lowest set bit marks the first
+/// zero byte of `x` exactly (a borrow only runs upwards from a true
+/// zero, so any false mark sits above it). `x` is the word XORed with
+/// `"` and with `\`, and `(w - 0x20..20) & !w` marks bytes below 0x20
+/// the same way; bytes of 0x80 and above never match, so a multi-byte
+/// character never ends a run.
+fn run_end(bytes: &[u8], mut at: usize) -> usize {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGH: u64 = ONES * 0x80;
+    const QUOTE: u64 = ONES * b'"' as u64;
+    const BACKSLASH: u64 = ONES * b'\\' as u64;
+    const SPACE: u64 = ONES * 0x20;
+    while let Some(word) = bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
+        let w = u64::from_le_bytes(*word);
+        let (q, b) = (w ^ QUOTE, w ^ BACKSLASH);
+        let hit =
+            (q.wrapping_sub(ONES) & !q | b.wrapping_sub(ONES) & !b | w.wrapping_sub(SPACE) & !w)
+                & HIGH;
+        if hit != 0 {
+            return at + (hit.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    while matches!(bytes.get(at), Some(&c) if c != b'"' && c != b'\\' && c >= 0x20) {
+        at += 1;
+    }
+    at
 }
 
 #[cfg(test)]
@@ -389,6 +436,123 @@ mod tests {
             "[1,]",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for (ok, v) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-3", -0.0005),
+            ("1E+5", 1e5),
+            ("2e0", 2.0),
+        ] {
+            assert_eq!(Json::parse(ok), Ok(Json::Num(v)), "{ok}");
+        }
+        for (bad, pos) in [
+            ("01", 1),
+            ("-01.50", 2),
+            ("1.", 2),
+            ("-.5", 1),
+            ("1.e5", 2),
+            ("-", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("[00]", 2),
+        ] {
+            let e = Json::parse(bad).unwrap_err();
+            assert_eq!((e.pos, e.msg.as_str()), (pos, "bad number"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn control_byte_in_string_is_named() {
+        let e = Json::parse("\"a\u{1}b\"").unwrap_err();
+        assert_eq!((e.pos, e.msg.as_str()), (2, "control character in string"));
+        let e = Json::parse("\"ab").unwrap_err();
+        assert_eq!((e.pos, e.msg.as_str()), (3, "unterminated string"));
+    }
+
+    /// The string scanner as it was before [`run_end`]: byte by byte,
+    /// with the simple escapes. Returns the string and the offset just
+    /// past its closing quote.
+    fn bytewise_string(src: &str) -> Result<(String, usize), JsonError> {
+        let (b, mut pos) = (src.as_bytes(), 1);
+        let err = |pos, msg: &str| JsonError {
+            pos,
+            msg: msg.to_string(),
+        };
+        let mut out = Vec::new();
+        loop {
+            match b.get(pos) {
+                Some(b'"') => return Ok((String::from_utf8(out).unwrap(), pos + 1)),
+                Some(b'\\') => {
+                    let esc = b
+                        .get(pos + 1)
+                        .ok_or_else(|| err(pos + 1, "dangling escape"))?;
+                    let c = match esc {
+                        b'"' | b'\\' | b'/' => *esc,
+                        b'n' => b'\n',
+                        b'r' => b'\r',
+                        b't' => b'\t',
+                        b'b' => 8,
+                        b'f' => 12,
+                        _ => return Err(err(pos + 2, "unknown escape")),
+                    };
+                    out.push(c);
+                    pos += 2;
+                }
+                Some(&c) if c < 0x20 => return Err(err(pos, "control character in string")),
+                Some(&c) => {
+                    out.push(c);
+                    pos += 1;
+                }
+                None => return Err(err(pos, "unterminated string")),
+            }
+        }
+    }
+
+    #[test]
+    fn string_runs_match_a_bytewise_scan() {
+        // Every byte that ends a run, 0x7F (which does not) and
+        // characters of 2, 3 and 4 bytes, each at every offset mod 8
+        // from the start of a run: the first run of the string, and one
+        // that starts after an escape. Each is followed by nothing (the
+        // run reaches the end of the input), a closing quote, or a tail
+        // long enough to take a whole word.
+        let mut specials: Vec<String> = (0u8..0x20).map(|c| char::from(c).to_string()).collect();
+        specials.extend(["\"", "\\", "\u{7f}", "é", "中", "😀"].map(String::from));
+        let mut checked = 0;
+        for special in &specials {
+            for lead in ["", "\\n"] {
+                for k in 0..17 {
+                    for tail in ["", "\"", "b\"", "bcdefghijklmnopq\""] {
+                        let doc = format!("\"{lead}{}{special}{tail}", "a".repeat(k));
+                        let mut p = Parser {
+                            src: &doc,
+                            bytes: doc.as_bytes(),
+                            pos: 0,
+                            depth: 0,
+                        };
+                        let got = p.string().map(|s| (s, p.pos));
+                        assert_eq!(got, bytewise_string(&doc), "{doc:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, specials.len() * 2 * 17 * 4);
+        // Strings shorter than a word, and runs with no special byte
+        // that end exactly at, before and after a word boundary.
+        for n in 0..20 {
+            let text = "x".repeat(n);
+            assert_eq!(Json::parse(&escape(&text)), Ok(Json::Str(text.clone())));
+            let open = format!("\"{text}");
+            let e = Json::parse(&open).unwrap_err();
+            assert_eq!((e.pos, e.msg.as_str()), (n + 1, "unterminated string"));
         }
     }
 

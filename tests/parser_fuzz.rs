@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use rsg::core::store;
+use rsg::dag::io::{read_dag_raw, DagIoError, RawDag};
 use rsg::select::classad::parse_classad;
 use rsg::select::sword::parse_sword;
 use rsg::select::vgdl::parse_vgdl;
@@ -37,6 +38,190 @@ impl IoRead for Torn<'_> {
 
 /// A valid enveloped size model (the clean audit fixture's).
 const VALID_MODEL_ENVELOPE: &str = include_str!("fixtures/audit/clean/models/size_model.tsv");
+
+/// The DAG text reader as it was before the byte cursor: `str::lines`,
+/// `str::split_whitespace` per line and `str::parse` per field. The
+/// reference `read_dag_raw` must agree with on every document.
+fn reference_read_dag_raw(text: &str) -> Result<RawDag, DagIoError> {
+    let mut lines = text.lines().enumerate();
+    let (i, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
+    if header.trim() != "rsg-dag v1" {
+        return Err(err(i + 1, "expected 'rsg-dag v1' header"));
+    }
+    let mut raw = RawDag::default();
+    let mut saw_end = false;
+    for (i, line) in lines {
+        let mut f = Fields {
+            parts: line.split_whitespace(),
+            line: i + 1,
+        };
+        match f.parts.next() {
+            None => {}
+            Some(comment) if comment.starts_with('#') => {}
+            Some("name") => raw.name = f.parts.collect::<Vec<_>>().join(" "),
+            Some("refclock") => {
+                raw.ref_clock_mhz = Some(f.next("refclock needs a value", "bad refclock")?);
+            }
+            Some("task") => {
+                let id: u32 = f.next("task needs an id", "bad task id")?;
+                if id as usize != raw.tasks.len() {
+                    return Err(err(f.line, "task ids must be dense and in order"));
+                }
+                raw.tasks
+                    .push(f.next("task needs a cost", "bad task cost")?);
+            }
+            Some("edge") => {
+                let p = f.next("edge needs a parent id", "bad edge parent id")?;
+                let c = f.next("edge needs a child id", "bad edge child id")?;
+                let w = f.next("edge needs a cost", "bad edge cost")?;
+                raw.edges.push((p, c, w));
+            }
+            Some("end") => {
+                saw_end = true;
+                break;
+            }
+            Some(other) => return Err(err(f.line, &format!("unknown directive '{other}'"))),
+        }
+    }
+    if !saw_end {
+        return Err(err(text.lines().count(), "missing 'end'"));
+    }
+    Ok(raw)
+}
+
+fn err(line: usize, msg: &str) -> DagIoError {
+    DagIoError {
+        line,
+        msg: msg.to_string(),
+    }
+}
+
+/// The fields of one line, with its 1-based number for errors.
+struct Fields<'a> {
+    parts: std::str::SplitWhitespace<'a>,
+    line: usize,
+}
+
+impl Fields<'_> {
+    /// The next field, parsed; `missing` or `bad` says why not.
+    fn next<T: std::str::FromStr>(&mut self, missing: &str, bad: &str) -> Result<T, DagIoError> {
+        let f = self.parts.next().ok_or_else(|| err(self.line, missing))?;
+        f.parse().map_err(|_| err(self.line, bad))
+    }
+}
+
+/// Asserts that `read_dag_raw` and the reference reader agree on `text`:
+/// the same `RawDag` (costs compared through `Debug`, so NaN matches
+/// NaN) or the same error line and message.
+fn assert_readers_agree(text: &str) {
+    assert_eq!(
+        format!("{:?}", read_dag_raw(text)),
+        format!("{:?}", reference_read_dag_raw(text)),
+        "{text:?}"
+    );
+}
+
+/// A valid document the equivalence tests mutate: every directive, a
+/// comment, a blank line, a name of several words and costs in several
+/// float spellings.
+const DAG_DOC: &str = "rsg-dag v1\nname my  flow\n# c\nrefclock 1500\n\ntask 0 8.2\n\
+                       task 1 2\ntask 2 1e-3\nedge 0 1 0.0032\nedge 1 2 inf\nend\n";
+
+/// What the equivalence tests splice into [`DAG_DOC`]: Unicode and
+/// ASCII whitespace the two field splitters of the old reader disagreed
+/// on, line endings, id spellings `u32::from_str` accepts or refuses,
+/// extra fields, comments, header and `end` lines, and non-whitespace
+/// characters of every UTF-8 length.
+const DAG_SPLICES: &[&str] = &[
+    "\u{a0}",
+    "\u{2003}",
+    "\u{85}",
+    "\u{2028}",
+    "\u{3000}",
+    "\u{1680}",
+    "\u{feff}",
+    "\x0b",
+    "\x0c",
+    "\r\n",
+    "\r",
+    "\n",
+    " ",
+    "\t",
+    "\x00",
+    "\x1f",
+    "\x7f",
+    "+7",
+    "+",
+    "-",
+    "-0",
+    "007",
+    "4294967295",
+    "4294967296",
+    "99999999999",
+    " extra",
+    " 3 4",
+    "#",
+    "# note\n",
+    "rsg-dag v1\n",
+    "rsg-dag v2\n",
+    "end",
+    "end\n",
+    "\nend trailing\n",
+    "x",
+    "0",
+    ".",
+    "e5",
+    "é",
+    "中",
+    "😀",
+];
+
+#[test]
+fn dag_reader_matches_the_reference_on_spliced_docs() {
+    // Every splice at every char boundary, then every truncation of the
+    // document (each drops `end` or cuts a line), then header variants
+    // and text after `end`.
+    let mut docs = Vec::new();
+    for at in (0..=DAG_DOC.len()).filter(|&i| DAG_DOC.is_char_boundary(i)) {
+        for splice in DAG_SPLICES {
+            docs.push(format!("{}{splice}{}", &DAG_DOC[..at], &DAG_DOC[at..]));
+        }
+        docs.push(DAG_DOC[..at].to_string());
+    }
+    let body = DAG_DOC.strip_prefix("rsg-dag v1").unwrap();
+    for header in [
+        "",
+        "rsg-dag v1 ",
+        " rsg-dag v1",
+        "rsg-dag  v1",
+        "rsg-dag v1\r",
+        "\u{a0}rsg-dag v1\u{85}",
+        "\u{feff}rsg-dag v1",
+        "RSG-DAG v1",
+        "rsg-dag v1 extra",
+        "\n",
+        "# rsg-dag v1",
+    ] {
+        docs.push(format!("{header}{body}"));
+    }
+    docs.push(format!("{DAG_DOC}task 9 x\nfrobnicate\n"));
+    docs.push(DAG_DOC.replace('\n', "\r\n"));
+    docs.push(DAG_DOC.replace('\n', "\r"));
+    docs.push(DAG_DOC.replace(' ', "\u{a0}"));
+    docs.push(DAG_DOC.replace(' ', "\u{85}"));
+    docs.push(DAG_DOC.replace(' ', "\x0b"));
+    docs.push(DAG_DOC.replace("end\n", ""));
+    docs.push(DAG_DOC.replace("end\n", "end"));
+    for doc in &docs {
+        assert_readers_agree(doc);
+    }
+    // The splices reach both outcomes and most messages.
+    let outcomes: std::collections::BTreeSet<String> = docs
+        .iter()
+        .map(|d| read_dag_raw(d).map_or_else(|e| e.msg, |_| "ok".to_string()))
+        .collect();
+    assert!(outcomes.len() >= 12, "{outcomes:?}");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -98,6 +283,23 @@ proptest! {
         let with_header = format!("rsg-dag v1\n{s}");
         let _ = rsg::dag::io::read_dag(&with_header);
         let _ = rsg::dag::io::read_dag_raw(&with_header);
+    }
+
+    #[test]
+    fn dag_reader_matches_the_reference_under_many_splices(
+        splices in prop::collection::vec((0usize..200, 0usize..DAG_SPLICES.len()), 0..8),
+        cut in 0usize..400,
+    ) {
+        // Several splices on one document, then a cut from its end.
+        let mut doc = DAG_DOC.to_string();
+        for (at, k) in splices {
+            let at = (0..=at.min(doc.len())).rev().find(|&i| doc.is_char_boundary(i)).unwrap();
+            doc.insert_str(at, DAG_SPLICES[k]);
+        }
+        let keep = doc.len().saturating_sub(cut % 40);
+        let keep = (0..=keep).rev().find(|&i| doc.is_char_boundary(i)).unwrap();
+        assert_readers_agree(&doc[..keep]);
+        assert_readers_agree(&doc);
     }
 
     #[test]
